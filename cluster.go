@@ -74,10 +74,12 @@ type Cluster struct {
 	// zero value keeps the legacy in-process behavior byte for byte.
 	Storage StorageOptions
 
-	// storageBackend and storageCache are the facility-wide tier and
-	// cache built from Storage on first use.
-	storageBackend storage.Backend
-	storageCache   *storage.DeltaCache
+	// storageTier and storageCache are the facility-wide tier and
+	// cache built from Storage on first use (nil for the mem tier);
+	// storageSet records that Storage has been realized.
+	storageTier  *storage.Tier
+	storageCache *storage.DeltaCache
+	storageSet   bool
 
 	// NaiveBranchCopy switches Branch to the evaluation baseline: each
 	// branch stages its own full unicast copy of the parent state (no
@@ -145,54 +147,37 @@ type StorageOptions struct {
 
 // ConfigureStorage builds the facility-wide storage tier and delta
 // cache from o and wires them into every current and future tenant's
-// swap manager. It rejects unknown backend names. Call it before the
-// first swap cycle; reconfiguring mid-run would strand placement
-// state.
+// swap manager. It rejects unknown backend names, and it refuses once
+// the chain store holds any segment: a new tier under live chains
+// would price every existing segment as a pool miss and never see
+// their GC.
 func (c *Cluster) ConfigureStorage(o StorageOptions) error {
 	kind, err := storage.ParseBackendKind(o.Backend)
 	if err != nil {
 		return err
 	}
+	if n := c.Chains.Entries(); n > 0 {
+		return fmt.Errorf("emucheck: cannot configure storage: the chain store already holds %d segments", n)
+	}
 	c.Storage = o
-	c.storageBackend = nil
+	c.storageSet = true
+	c.storageTier = nil
 	c.storageCache = nil
 	if kind != storage.MemKind {
-		if kind == storage.DiskKind {
-			c.storageBackend = storage.NewDiskBackend(o.DiskMB << 20)
-		} else {
-			c.storageBackend = storage.NewBackend(kind)
-		}
+		c.storageTier = storage.NewTier(kind, o.DiskMB<<20)
 		if o.CacheMB > 0 {
 			c.storageCache = storage.NewDeltaCache(o.CacheMB<<20, c.Chains.Refs)
 		}
-		// The backend mirrors the chain store's contents: commits (and
-		// prune folds, which re-key the base) reach the physical tier,
-		// and GC'd epochs leave it — and the cache, so dead segments
-		// stop holding capacity against live entries.
-		be, cache := c.storageBackend, c.storageCache
-		c.Chains.OnStore = func(a storage.Addr, n int64) { be.Put(a, n) }
-		c.Chains.OnDrop = func(a storage.Addr, n int64) {
-			be.Delete(a)
-			if cache != nil {
-				cache.Drop(a)
-			}
-		}
-	} else {
-		c.Chains.OnStore = nil
-		c.Chains.OnDrop = nil
 	}
+	c.Chains.MirrorTo(c.storageTier, c.storageCache)
 	for _, sess := range c.tenants {
 		if sess.Exp != nil && sess.Exp.Swap != nil {
-			sess.Exp.Swap.Backend = c.storageBackend
+			sess.Exp.Swap.Tier = c.storageTier
 			sess.Exp.Swap.Cache = c.storageCache
 		}
 	}
 	return nil
 }
-
-// StorageBackend returns the facility-wide chain tier (nil when the
-// legacy in-process store is selected).
-func (c *Cluster) StorageBackend() storage.Backend { return c.storageBackend }
 
 // DeltaCache returns the facility-wide delta cache (nil when off).
 func (c *Cluster) DeltaCache() *storage.DeltaCache { return c.storageCache }
@@ -306,7 +291,7 @@ func (c *Cluster) watchPhase(name string, fn func(core.Phase)) {
 // ConfigureStorage) the first time a tenant is wired. An invalid
 // backend literal is a programmer error and panics.
 func (c *Cluster) ensureStorage() {
-	if c.storageBackend != nil || c.storageCache != nil || c.Storage == (StorageOptions{}) {
+	if c.storageSet || c.Storage == (StorageOptions{}) {
 		return
 	}
 	if err := c.ConfigureStorage(c.Storage); err != nil {
@@ -325,7 +310,7 @@ func (c *Cluster) wireTenant(sess *Session, exp *emulab.Experiment) {
 		exp.Swap.Stats = c.SwapStats
 		exp.Swap.Chains = c.Chains
 		exp.Swap.SaveDeadline = c.SaveDeadline
-		exp.Swap.Backend = c.storageBackend
+		exp.Swap.Tier = c.storageTier
 		exp.Swap.Cache = c.storageCache
 	}
 	name := sess.Scenario.Spec.Name

@@ -6,6 +6,7 @@ import (
 
 	"emucheck/internal/emulab"
 	"emucheck/internal/sim"
+	"emucheck/internal/storage"
 )
 
 // tenantScenario builds a 2-node all-swappable experiment whose
@@ -106,6 +107,73 @@ func TestClusterTimeSharesOversubscribedPool(t *testing.T) {
 		if v := tn.VirtualNow(name); v >= c.Now() {
 			t.Fatalf("%s virtual %v >= real %v: parked time leaked into the guest", tn.Scenario.Spec.Name, v, c.Now())
 		}
+	}
+}
+
+// TestConfigureStorage: unknown tiers are rejected; disk and remote
+// tiers reach tenants submitted before the call; mem clears the tier
+// and the chain-store mirroring; and once the chain store holds a
+// segment, reconfiguring is refused and changes nothing.
+func TestConfigureStorage(t *testing.T) {
+	c := NewCluster(4, 3, FIFO)
+	c.Incremental = true
+	if err := c.ConfigureStorage(StorageOptions{Backend: "tape"}); err == nil {
+		t.Fatal("unknown backend accepted")
+	}
+	var n int
+	sess, err := c.Submit(tenantScenario("pre", &n), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(30 * sim.Second)
+	if sess.Exp == nil || sess.Exp.Swap == nil {
+		t.Fatal("tenant not admitted")
+	}
+	m := sess.Exp.Swap
+
+	if err := c.ConfigureStorage(StorageOptions{Backend: "disk", DiskMB: 64}); err != nil {
+		t.Fatal(err)
+	}
+	if m.Tier == nil || m.Tier.Kind != storage.DiskKind || m.Tier.Capacity != 64<<20 || m.Cache != nil {
+		t.Fatalf("disk tier not wired into the running tenant: %+v cache %v", m.Tier, m.Cache)
+	}
+	if err := c.ConfigureStorage(StorageOptions{Backend: "remote", CacheMB: 16}); err != nil {
+		t.Fatal(err)
+	}
+	remote := m.Tier
+	if remote == nil || remote.Kind != storage.RemoteKind || m.Cache == nil || m.Cache != c.DeltaCache() {
+		t.Fatalf("remote tier and cache not wired into the running tenant: %+v cache %v", remote, m.Cache)
+	}
+
+	if err := c.ConfigureStorage(StorageOptions{Backend: "mem"}); err != nil {
+		t.Fatal(err)
+	}
+	if m.Tier != nil || m.Cache != nil || c.DeltaCache() != nil {
+		t.Fatal("mem left a tier or cache wired in")
+	}
+	if err := c.Park("pre"); err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(10 * sim.Minute)
+	if sess.State() != "parked" || c.Chains.Entries() == 0 {
+		t.Fatalf("park committed nothing: state %s, %d chain entries", sess.State(), c.Chains.Entries())
+	}
+	if remote.SegmentCount() != 0 {
+		t.Fatalf("the replaced remote tier still mirrors the chain store: %d segments", remote.SegmentCount())
+	}
+
+	if err := c.ConfigureStorage(StorageOptions{Backend: "disk"}); err == nil {
+		t.Fatal("reconfigured the tier under live chains")
+	}
+	if m.Tier != nil || c.Storage.Backend != "mem" {
+		t.Fatalf("refused reconfiguration still changed the tier: %+v, storage %+v", m.Tier, c.Storage)
+	}
+	if err := c.Unpark("pre"); err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(10 * sim.Minute)
+	if sess.State() != "running" {
+		t.Fatalf("tenant did not resume after the refused reconfiguration: %s", sess.State())
 	}
 }
 

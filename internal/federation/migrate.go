@@ -1,4 +1,4 @@
-package swap
+package federation
 
 import (
 	"emucheck/internal/storage"
@@ -8,7 +8,7 @@ import (
 //
 // A parked tenant's run-time state is a content-addressed checkpoint
 // chain whose authoritative copy lives in the shared global pool
-// (storage.RemoteBackend): parking committed it there, so any
+// (a storage.RemoteKind tier): parking committed it there, so any
 // facility in the federation can restore it. Migration therefore
 // moves no authority — it moves *locality*. The source facility ships
 // the chain over the WAN into the destination's storage.DeltaCache
@@ -16,15 +16,8 @@ import (
 // chain from local media instead of re-streaming every segment from
 // the pool across the control LAN.
 
-// ChainSegment is one content-addressed segment of a parked tenant's
-// checkpoint chain: the base image or one epoch delta.
-type ChainSegment struct {
-	Addr  storage.Addr
-	Bytes int64
-}
-
-// ChainBytes sums a chain's payload.
-func ChainBytes(chain []ChainSegment) int64 {
+// chainBytes sums a chain's payload.
+func chainBytes(chain []storage.Segment) int64 {
 	var n int64
 	for _, seg := range chain {
 		n += seg.Bytes
@@ -32,13 +25,13 @@ func ChainBytes(chain []ChainSegment) int64 {
 	return n
 }
 
-// PlanWarmUp selects the chain segments worth shipping to the
+// planWarmUp selects the chain segments worth shipping to the
 // destination: those its cache does not already hold. The plan is in
 // chain order (base first), so a truncated warm-up still front-loads
 // the segments every restore replays first. The lookup is by
 // residency only — no ledger or recency side effects.
-func PlanWarmUp(chain []ChainSegment, dst *storage.DeltaCache) []ChainSegment {
-	var plan []ChainSegment
+func planWarmUp(chain []storage.Segment, dst *storage.DeltaCache) []storage.Segment {
+	var plan []storage.Segment
 	for _, seg := range chain {
 		if !dst.Contains(seg.Addr) {
 			plan = append(plan, seg)
@@ -47,12 +40,12 @@ func PlanWarmUp(chain []ChainSegment, dst *storage.DeltaCache) []ChainSegment {
 	return plan
 }
 
-// WarmUp admits the planned segments into the destination cache and
+// warmUp admits the planned segments into the destination cache and
 // returns the bytes actually admitted. Admission goes through the
 // cache's refcount-aware path: pinned (shared) entries are never
 // evicted to make room, so an oversized warm-up degrades to a partial
 // one instead of destroying the destination's resident working set.
-func WarmUp(plan []ChainSegment, dst *storage.DeltaCache) int64 {
+func warmUp(plan []storage.Segment, dst *storage.DeltaCache) int64 {
 	var admitted int64
 	for _, seg := range plan {
 		// Stop once the next segment could only be admitted by evicting
@@ -70,13 +63,13 @@ func WarmUp(plan []ChainSegment, dst *storage.DeltaCache) int64 {
 	return admitted
 }
 
-// RestoreChain replays a tenant's chain at a facility: each segment is
+// restoreChain replays a tenant's chain at a facility: each segment is
 // served from the local delta cache if resident (local bytes), and
 // otherwise streamed from the shared pool (remote bytes) and admitted
 // into the cache for the next restore. The returned split is the
 // migration warm-up's whole value proposition: warmed restores shift
 // bytes from remote to local.
-func RestoreChain(chain []ChainSegment, cache *storage.DeltaCache, pool storage.Backend) (local, remote int64) {
+func restoreChain(chain []storage.Segment, cache *storage.DeltaCache, pool *storage.Tier) (local, remote int64) {
 	for _, seg := range chain {
 		if _, ok := cache.Get(seg.Addr); ok {
 			local += seg.Bytes
@@ -87,7 +80,7 @@ func RestoreChain(chain []ChainSegment, cache *storage.DeltaCache, pool storage.
 		if pool != nil && !pool.Has(seg.Addr) {
 			// The pool is authoritative for every parked chain; a miss
 			// there is lost state, not a cache cold start.
-			panic("swap: restore of chain segment absent from the shared pool")
+			panic("federation: restore of chain segment absent from the shared pool")
 		}
 		cache.Put(seg.Addr, seg.Bytes)
 	}

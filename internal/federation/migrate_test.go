@@ -1,4 +1,4 @@
-package swap
+package federation
 
 import (
 	"testing"
@@ -8,10 +8,10 @@ import (
 
 // migChain builds a deterministic k-segment chain starting at addr
 // base, commits it to the pool, and returns it.
-func migChain(pool storage.Backend, base uint64, k int, segBytes int64) []ChainSegment {
-	var chain []ChainSegment
+func migChain(pool *storage.Tier, base uint64, k int, segBytes int64) []storage.Segment {
+	var chain []storage.Segment
 	for i := 0; i < k; i++ {
-		seg := ChainSegment{Addr: storage.Addr(base + uint64(i)), Bytes: segBytes}
+		seg := storage.Segment{Addr: storage.Addr(base + uint64(i)), Bytes: segBytes}
 		pool.Put(seg.Addr, seg.Bytes)
 		chain = append(chain, seg)
 	}
@@ -23,13 +23,13 @@ func migChain(pool storage.Backend, base uint64, k int, segBytes int64) []ChainS
 // restore must strictly reduce remote_bytes versus a cold restore of
 // the same chain.
 func TestWarmUpReducesRemoteBytes(t *testing.T) {
-	pool := storage.NewRemoteBackend()
+	pool := storage.NewTier(storage.RemoteKind, 0)
 	chain := migChain(pool, 100, 6, 8<<20) // 48 MB chain
-	total := ChainBytes(chain)
+	total := chainBytes(chain)
 
 	// Cold destination: every segment streams from the pool.
 	cold := storage.NewDeltaCache(256<<20, nil)
-	_, coldRemote := RestoreChain(chain, cold, pool)
+	_, coldRemote := restoreChain(chain, cold, pool)
 	if coldRemote != total {
 		t.Fatalf("cold restore remote = %d, want full chain %d", coldRemote, total)
 	}
@@ -37,14 +37,14 @@ func TestWarmUpReducesRemoteBytes(t *testing.T) {
 	// Warmed destination: the migration shipped the chain ahead of the
 	// restore, so the replay is served locally.
 	warm := storage.NewDeltaCache(256<<20, nil)
-	plan := PlanWarmUp(chain, warm)
+	plan := planWarmUp(chain, warm)
 	if len(plan) != len(chain) {
 		t.Fatalf("cold-node plan has %d segments, want %d", len(plan), len(chain))
 	}
-	if admitted := WarmUp(plan, warm); admitted != total {
+	if admitted := warmUp(plan, warm); admitted != total {
 		t.Fatalf("warm-up admitted %d, want %d", admitted, total)
 	}
-	warmLocal, warmRemote := RestoreChain(chain, warm, pool)
+	warmLocal, warmRemote := restoreChain(chain, warm, pool)
 	if warmRemote >= coldRemote {
 		t.Fatalf("warm restore remote = %d, not strictly below cold %d", warmRemote, coldRemote)
 	}
@@ -60,16 +60,16 @@ func TestWarmUpReducesRemoteBytes(t *testing.T) {
 // TestWarmUpPartialCapacity: a warm-up that does not fit degrades to
 // a partial one, and the restore's remote bytes still strictly drop.
 func TestWarmUpPartialCapacity(t *testing.T) {
-	pool := storage.NewRemoteBackend()
+	pool := storage.NewTier(storage.RemoteKind, 0)
 	chain := migChain(pool, 200, 8, 4<<20) // 32 MB chain
 	dst := storage.NewDeltaCache(12<<20, nil)
 
-	admitted := WarmUp(PlanWarmUp(chain, dst), dst)
+	admitted := warmUp(planWarmUp(chain, dst), dst)
 	if admitted <= 0 || admitted > 12<<20 {
 		t.Fatalf("partial warm-up admitted %d", admitted)
 	}
-	_, remote := RestoreChain(chain, dst, pool)
-	if remote >= ChainBytes(chain) {
+	_, remote := restoreChain(chain, dst, pool)
+	if remote >= chainBytes(chain) {
 		t.Fatalf("partial warm-up did not reduce remote bytes: %d", remote)
 	}
 }
@@ -78,7 +78,7 @@ func TestWarmUpPartialCapacity(t *testing.T) {
 // resident set is pinned (refs>1, a shared branch prefix) must not
 // evict the pinned entries — the warm-up is rejected instead.
 func TestWarmUpNeverEvictsPinned(t *testing.T) {
-	pool := storage.NewRemoteBackend()
+	pool := storage.NewTier(storage.RemoteKind, 0)
 	pinned := storage.Addr(1)
 	refs := func(a storage.Addr) int {
 		if a == pinned {
@@ -93,7 +93,7 @@ func TestWarmUpNeverEvictsPinned(t *testing.T) {
 	}
 
 	chain := migChain(pool, 300, 2, 6<<20) // needs 12 MB; only 2 MB unpinned room
-	admitted := WarmUp(PlanWarmUp(chain, dst), dst)
+	admitted := warmUp(planWarmUp(chain, dst), dst)
 	if admitted != 0 {
 		t.Fatalf("warm-up admitted %d bytes despite pinned working set", admitted)
 	}
@@ -112,13 +112,13 @@ func TestWarmUpNeverEvictsPinned(t *testing.T) {
 // TestPlanWarmUpSkipsResident: segments already at the destination are
 // not re-shipped.
 func TestPlanWarmUpSkipsResident(t *testing.T) {
-	pool := storage.NewRemoteBackend()
+	pool := storage.NewTier(storage.RemoteKind, 0)
 	chain := migChain(pool, 400, 4, 1<<20)
 	dst := storage.NewDeltaCache(64<<20, nil)
 	dst.Put(chain[1].Addr, chain[1].Bytes)
 	dst.Put(chain[3].Addr, chain[3].Bytes)
 
-	plan := PlanWarmUp(chain, dst)
+	plan := planWarmUp(chain, dst)
 	if len(plan) != 2 {
 		t.Fatalf("plan has %d segments, want 2", len(plan))
 	}
@@ -135,7 +135,7 @@ func TestRestoreChainPanicsOnLostState(t *testing.T) {
 			t.Fatal("restore of pool-absent segment did not panic")
 		}
 	}()
-	pool := storage.NewRemoteBackend()
+	pool := storage.NewTier(storage.RemoteKind, 0)
 	cache := storage.NewDeltaCache(64<<20, nil)
-	RestoreChain([]ChainSegment{{Addr: 999, Bytes: 1 << 20}}, cache, pool)
+	restoreChain([]storage.Segment{{Addr: 999, Bytes: 1 << 20}}, cache, pool)
 }

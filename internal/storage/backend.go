@@ -12,9 +12,10 @@ type BackendKind int
 
 // Storage tiers.
 const (
-	// MemKind is the in-process store — the legacy behavior: chain
-	// contents are metadata only, and every transfer rides the shared
-	// control-LAN pipe exactly as before backends existed.
+	// MemKind is the in-process store: chain contents are metadata
+	// only, and every transfer rides the shared control-LAN pipe
+	// through the untiered swap pipeline (a cluster configured with it
+	// installs no Tier).
 	MemKind BackendKind = iota
 	// DiskKind is the node-local snapshot disk (the paper's second
 	// local disk, §6): committed segments land next to the node at
@@ -54,45 +55,6 @@ func ParseBackendKind(s string) (BackendKind, error) {
 	return MemKind, fmt.Errorf("storage: unknown backend %q (want mem, disk or remote)", s)
 }
 
-// Backend is the physical home of committed checkpoint-chain segments.
-// The ChainStore remains the authoritative metadata index (refcounts,
-// content addresses); a Backend decides where the segment *bytes* live
-// and what moving them costs. Implementations only price and account —
-// scheduling the simulated time is the swap pipeline's job, and shared
-// control-LAN bandwidth is always charged through the xfer server.
-type Backend interface {
-	// Kind reports the tier.
-	Kind() BackendKind
-	// Name labels the tier in stats and reports.
-	Name() string
-	// PutCost prices writing n bytes to the tier's own medium: zero
-	// for mem, seek + bandwidth for the snapshot disk, a per-request
-	// round trip for the remote pool (whose bandwidth rides the shared
-	// control-LAN pipe and is charged there).
-	PutCost(n int64) sim.Time
-	// ReadCost prices reading n bytes back off the tier's own medium,
-	// with the same conventions as PutCost.
-	ReadCost(n int64) sim.Time
-	// Put records segment a (n bytes) as stored on the tier. A false
-	// return means the tier is out of room (the snapshot disk is over
-	// its capacity budget): the segment spills to the shared pool
-	// instead and restores must stream it back over the control LAN.
-	// Re-putting a resident segment refreshes its size and succeeds.
-	Put(a Addr, n int64) bool
-	// Fits reports whether n more bytes would fit the tier's remaining
-	// capacity, without counting a spill — the upfront placement
-	// decision (always true for the unbounded tiers).
-	Fits(n int64) bool
-	// Has reports whether the tier holds segment a.
-	Has(a Addr) bool
-	// Delete forgets a segment once its last chain reference is gone.
-	Delete(a Addr)
-	// StoredBytes reports the tier's resident segment footprint.
-	StoredBytes() int64
-	// SegmentCount reports how many segments are resident.
-	SegmentCount() int
-}
-
 // Default cost parameters for the simulated tiers.
 const (
 	// DefaultSnapshotDiskBytes is the node-local snapshot disk budget
@@ -109,221 +71,112 @@ const (
 	DefaultRemoteRTT = 2 * sim.Millisecond
 )
 
-// NewBackend builds a tier of the given kind with default parameters.
-func NewBackend(kind BackendKind) Backend {
-	switch kind {
-	case DiskKind:
-		return NewDiskBackend(DefaultSnapshotDiskBytes)
-	case RemoteKind:
-		return NewRemoteBackend()
-	default:
-		return NewMemBackend()
-	}
-}
-
-// segTable is the shared resident-segment index behind every tier.
-type segTable struct {
-	segs  map[Addr]int64
-	bytes int64
-}
-
-func newSegTable() segTable { return segTable{segs: make(map[Addr]int64)} }
-
-func (t *segTable) put(a Addr, n int64) {
-	if old, ok := t.segs[a]; ok {
-		t.bytes -= old
-	}
-	t.segs[a] = n
-	t.bytes += n
-}
-
-func (t *segTable) del(a Addr) {
-	if old, ok := t.segs[a]; ok {
-		t.bytes -= old
-		delete(t.segs, a)
-	}
-}
-
-// MemBackend is the legacy in-process store: segments are metadata
-// only, every cost is zero, and capacity is unbounded. Selecting it is
-// selecting the pre-backend behavior byte for byte.
-type MemBackend struct {
-	t segTable
-}
-
-// NewMemBackend creates an in-process tier.
-func NewMemBackend() *MemBackend { return &MemBackend{t: newSegTable()} }
-
-// Kind reports MemKind.
-func (b *MemBackend) Kind() BackendKind { return MemKind }
-
-// Name labels the tier.
-func (b *MemBackend) Name() string { return "mem" }
-
-// PutCost is zero: the store is in-process.
-func (b *MemBackend) PutCost(int64) sim.Time { return 0 }
-
-// ReadCost is zero: the store is in-process.
-func (b *MemBackend) ReadCost(int64) sim.Time { return 0 }
-
-// Put records the segment; the in-process store never fills.
-func (b *MemBackend) Put(a Addr, n int64) bool { b.t.put(a, n); return true }
-
-// Fits is always true: the in-process store never fills.
-func (b *MemBackend) Fits(int64) bool { return true }
-
-// Has reports segment presence.
-func (b *MemBackend) Has(a Addr) bool { _, ok := b.t.segs[a]; return ok }
-
-// Delete forgets a segment.
-func (b *MemBackend) Delete(a Addr) { b.t.del(a) }
-
-// StoredBytes reports the resident footprint.
-func (b *MemBackend) StoredBytes() int64 { return b.t.bytes }
-
-// SegmentCount reports resident segments.
-func (b *MemBackend) SegmentCount() int { return len(b.t.segs) }
-
-// DiskBackend is the node-local snapshot disk tier: committed segments
-// land at seek + bandwidth cost without crossing the control LAN, and
-// restores read them back the same way. The disk has a capacity
-// budget; a Put past it fails and the segment spills to the shared
-// pool (counted in SpillSegments/SpillBytes).
-type DiskBackend struct {
-	// Capacity is the snapshot-disk budget in bytes.
+// Tier is the physical home of committed checkpoint-chain segments.
+// The ChainStore remains the authoritative metadata index (refcounts,
+// content addresses); a Tier decides where the segment *bytes* live
+// and what moving them costs on the tier's own medium. It only prices
+// and accounts — scheduling the simulated time is the swap pipeline's
+// job, and shared control-LAN bandwidth is always charged through the
+// xfer server. The tiers differ only in their parameters: the snapshot
+// disk has a capacity, a seek and a rate; the shared pool has a
+// per-request round trip and no bound.
+type Tier struct {
+	// Kind names the tier.
+	Kind BackendKind
+	// Capacity is the tier's budget in bytes (0 = unbounded). A Put
+	// past it spills the segment to the shared pool.
 	Capacity int64
-	// Seek is the per-segment positioning cost.
+	// Seek is the per-segment positioning cost on the tier's medium.
 	Seek sim.Time
-	// Rate is the sequential bandwidth in bytes/second.
+	// Rate is the medium's sequential bandwidth in bytes/second; zero
+	// means the bytes ride the shared control-LAN pipe and are charged
+	// there.
 	Rate int64
+	// RTT is the per-request round trip to the tier.
+	RTT sim.Time
 
 	// SpillSegments counts segments refused for lack of room.
 	SpillSegments int64
 	// SpillBytes accumulates the refused segments' sizes.
 	SpillBytes int64
 
-	t segTable
+	segs  map[Addr]int64
+	bytes int64
 }
 
-// NewDiskBackend creates a snapshot-disk tier with the given capacity
-// (0 = DefaultSnapshotDiskBytes) and default seek/bandwidth costs.
-func NewDiskBackend(capacity int64) *DiskBackend {
-	if capacity <= 0 {
-		capacity = DefaultSnapshotDiskBytes
+// NewTier builds a tier of the given kind with the default costs.
+// diskBytes sizes the snapshot disk (0 = DefaultSnapshotDiskBytes); the
+// mem and remote tiers are unbounded. The mem tier is free: it is the
+// in-process store, whose transfers the untiered pipeline prices.
+func NewTier(kind BackendKind, diskBytes int64) *Tier {
+	t := &Tier{Kind: kind, segs: make(map[Addr]int64)}
+	switch kind {
+	case DiskKind:
+		if diskBytes <= 0 {
+			diskBytes = DefaultSnapshotDiskBytes
+		}
+		t.Capacity, t.Seek, t.Rate = diskBytes, DefaultDiskSeek, DefaultDiskRate
+	case RemoteKind:
+		t.RTT = DefaultRemoteRTT
 	}
-	return &DiskBackend{
-		Capacity: capacity,
-		Seek:     DefaultDiskSeek,
-		Rate:     DefaultDiskRate,
-		t:        newSegTable(),
-	}
+	return t
 }
 
-// Kind reports DiskKind.
-func (b *DiskBackend) Kind() BackendKind { return DiskKind }
-
-// Name labels the tier.
-func (b *DiskBackend) Name() string { return "disk" }
-
-// xferCost prices moving n bytes through a seek + rate medium.
+// xferCost prices moving n bytes through a seek + rate medium; a zero
+// rate charges the seek alone.
 func xferCost(n int64, seek sim.Time, rate int64) sim.Time {
 	if n <= 0 {
 		return 0
 	}
+	if rate <= 0 {
+		return seek
+	}
 	return seek + sim.Time(float64(n)/float64(rate)*float64(sim.Second))
 }
 
-// PutCost prices a snapshot-disk write.
-func (b *DiskBackend) PutCost(n int64) sim.Time { return xferCost(n, b.Seek, b.Rate) }
+// Cost prices writing or reading n bytes on the tier's own medium:
+// seek + bandwidth on the snapshot disk, one round trip on the remote
+// pool (whose bandwidth rides the shared pipe), nothing on mem.
+func (t *Tier) Cost(n int64) sim.Time { return xferCost(n, t.Seek+t.RTT, t.Rate) }
 
-// ReadCost prices a snapshot-disk read.
-func (b *DiskBackend) ReadCost(n int64) sim.Time { return xferCost(n, b.Seek, b.Rate) }
-
-// Put records the segment unless it would exceed the capacity budget;
-// a refused segment spills to the shared pool. Re-putting a resident
-// segment only charges the size difference.
-func (b *DiskBackend) Put(a Addr, n int64) bool {
-	occupied := b.t.bytes
-	if old, ok := b.t.segs[a]; ok {
-		occupied -= old
-	}
-	if occupied+n > b.Capacity {
-		b.SpillSegments++
-		b.SpillBytes += n
+// Put records segment a (n bytes) as stored on the tier. A false
+// return means the tier is over its capacity budget: the segment
+// spills to the shared pool instead and restores must stream it back
+// over the control LAN. Re-putting a resident segment only charges the
+// size difference.
+func (t *Tier) Put(a Addr, n int64) bool {
+	old, resident := t.segs[a]
+	if t.Capacity > 0 && t.bytes-old+n > t.Capacity {
+		t.SpillSegments++
+		t.SpillBytes += n
 		return false
 	}
-	b.t.put(a, n)
+	if resident {
+		t.bytes -= old
+	}
+	t.segs[a] = n
+	t.bytes += n
 	return true
 }
 
-// Fits reports whether n more bytes stay inside the capacity budget.
-func (b *DiskBackend) Fits(n int64) bool { return b.t.bytes+n <= b.Capacity }
+// Fits reports whether n more bytes stay inside the capacity budget,
+// without counting a spill — the upfront placement decision.
+func (t *Tier) Fits(n int64) bool { return t.Capacity <= 0 || t.bytes+n <= t.Capacity }
 
-// Has reports segment presence.
-func (b *DiskBackend) Has(a Addr) bool { _, ok := b.t.segs[a]; return ok }
+// Has reports whether the tier holds segment a.
+func (t *Tier) Has(a Addr) bool { _, ok := t.segs[a]; return ok }
 
-// Delete forgets a segment, freeing its budget share.
-func (b *DiskBackend) Delete(a Addr) { b.t.del(a) }
-
-// StoredBytes reports the resident footprint.
-func (b *DiskBackend) StoredBytes() int64 { return b.t.bytes }
-
-// SegmentCount reports resident segments.
-func (b *DiskBackend) SegmentCount() int { return len(b.t.segs) }
-
-// RemoteBackend is the shared pool tier: segments live on the file
-// server across the control LAN. Capacity is unbounded; the cost of a
-// put or get is one round trip here plus the segment bytes through the
-// shared fair-share pipe, which the swap pipeline charges via the xfer
-// server (so contention with neighbors is priced realistically).
-type RemoteBackend struct {
-	// RTT is the per-request round trip to the pool.
-	RTT sim.Time
-
-	t segTable
-}
-
-// NewRemoteBackend creates a shared-pool tier with the default RTT.
-func NewRemoteBackend() *RemoteBackend {
-	return &RemoteBackend{RTT: DefaultRemoteRTT, t: newSegTable()}
-}
-
-// Kind reports RemoteKind.
-func (b *RemoteBackend) Kind() BackendKind { return RemoteKind }
-
-// Name labels the tier.
-func (b *RemoteBackend) Name() string { return "remote" }
-
-// PutCost is the round trip; bandwidth rides the shared pipe.
-func (b *RemoteBackend) PutCost(n int64) sim.Time {
-	if n <= 0 {
-		return 0
+// Delete forgets a segment once its last chain reference is gone,
+// freeing its budget share.
+func (t *Tier) Delete(a Addr) {
+	if old, ok := t.segs[a]; ok {
+		t.bytes -= old
+		delete(t.segs, a)
 	}
-	return b.RTT
 }
 
-// ReadCost is the round trip; bandwidth rides the shared pipe.
-func (b *RemoteBackend) ReadCost(n int64) sim.Time {
-	if n <= 0 {
-		return 0
-	}
-	return b.RTT
-}
+// StoredBytes reports the tier's resident segment footprint.
+func (t *Tier) StoredBytes() int64 { return t.bytes }
 
-// Put records the segment; the pool never fills.
-func (b *RemoteBackend) Put(a Addr, n int64) bool { b.t.put(a, n); return true }
-
-// Fits is always true: the pool never fills.
-func (b *RemoteBackend) Fits(int64) bool { return true }
-
-// Has reports segment presence.
-func (b *RemoteBackend) Has(a Addr) bool { _, ok := b.t.segs[a]; return ok }
-
-// Delete forgets a segment.
-func (b *RemoteBackend) Delete(a Addr) { b.t.del(a) }
-
-// StoredBytes reports the resident footprint.
-func (b *RemoteBackend) StoredBytes() int64 { return b.t.bytes }
-
-// SegmentCount reports resident segments.
-func (b *RemoteBackend) SegmentCount() int { return len(b.t.segs) }
+// SegmentCount reports how many segments are resident.
+func (t *Tier) SegmentCount() int { return len(t.segs) }

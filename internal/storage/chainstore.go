@@ -63,15 +63,9 @@ type ChainStore struct {
 	// content already existed (content-address hit).
 	DedupBytes int64
 
-	// OnStore, if set, observes every entry entering the store (first
-	// reference to a content address). A storage Backend mirrors the
-	// chain contents off this hook, so prune folds — which re-key the
-	// base under a new address — reach the physical tier too.
-	OnStore func(a Addr, bytes int64)
-	// OnDrop observes entries leaving the store: the last reference
-	// was released (GC) or the entry was re-keyed by a copy-on-write
-	// fold. The mirroring backend forgets the segment.
-	OnDrop func(a Addr, bytes int64)
+	// tier and cache mirror the store's contents (see MirrorTo).
+	tier  *Tier
+	cache *DeltaCache
 }
 
 // NewChainStore creates an empty store.
@@ -102,10 +96,32 @@ func (cs *ChainStore) retain(e *Epoch) (*Epoch, Addr) {
 		return ent.e, a
 	}
 	cs.epochs[a] = &entry{e: e, refs: 1}
-	if cs.OnStore != nil {
-		cs.OnStore(a, e.DiskBytes())
+	if cs.tier != nil {
+		cs.tier.Put(a, e.DiskBytes())
 	}
 	return e, a
+}
+
+// MirrorTo makes tier hold exactly the store's entries: every entry
+// entering the store (first reference to a content address) is put on
+// the tier, so prune folds — which re-key the base under a new address
+// — reach it too. Entries leaving the store (GC, or a re-key by a
+// copy-on-write fold) leave the tier and, when cache is non-nil, the
+// delta cache, so dead segments stop holding capacity against live
+// entries. Nil turns either mirror off. Call it before the first
+// commit: entries already stored are not copied over.
+func (cs *ChainStore) MirrorTo(tier *Tier, cache *DeltaCache) {
+	cs.tier, cs.cache = tier, cache
+}
+
+// forget removes a segment that left the store from its mirrors.
+func (cs *ChainStore) forget(a Addr) {
+	if cs.tier != nil {
+		cs.tier.Delete(a)
+	}
+	if cs.cache != nil {
+		cs.cache.Drop(a)
+	}
 }
 
 // retainAddr adds a reference to an already-stored address (fork path).
@@ -128,9 +144,7 @@ func (cs *ChainStore) release(a Addr, gc bool) {
 		if gc {
 			cs.GCBytes += ent.e.DiskBytes()
 		}
-		if cs.OnDrop != nil {
-			cs.OnDrop(a, ent.e.DiskBytes())
-		}
+		cs.forget(a)
 	}
 }
 
@@ -143,9 +157,7 @@ func (cs *ChainStore) exclusive(a Addr) *Epoch {
 	ent := cs.epochs[a]
 	if ent.refs == 1 {
 		delete(cs.epochs, a)
-		if cs.OnDrop != nil {
-			cs.OnDrop(a, ent.e.DiskBytes())
-		}
+		cs.forget(a)
 		return ent.e
 	}
 	ent.refs--

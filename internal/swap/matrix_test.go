@@ -21,7 +21,7 @@ type matrixCase struct {
 	name string
 	opts Options
 	// tier builds the chain tier (nil: the untiered pipeline).
-	tier func() storage.Backend
+	tier func() *storage.Tier
 	// cacheMB sizes the delta cache (tiered cases only).
 	cacheMB int64
 	// standalone leaves the manager without a cluster chain store, so
@@ -32,10 +32,10 @@ type matrixCase struct {
 func matrixCases() []matrixCase {
 	eager := DefaultOptions()
 	eager.Lazy = false
-	disk := func(capacity int64) func() storage.Backend {
-		return func() storage.Backend { return storage.NewDiskBackend(capacity) }
+	disk := func(capacity int64) func() *storage.Tier {
+		return func() *storage.Tier { return storage.NewTier(storage.DiskKind, capacity) }
 	}
-	remote := func() storage.Backend { return storage.NewRemoteBackend() }
+	remote := func() *storage.Tier { return storage.NewTier(storage.RemoteKind, 0) }
 	return []matrixCase{
 		{name: "full-lazy", opts: DefaultOptions()},
 		{name: "full-eager", opts: eager},
@@ -51,16 +51,12 @@ func matrixCases() []matrixCase {
 }
 
 // tierLedger renders the tier's resident footprint and spill ledger.
-func tierLedger(be storage.Backend) string {
-	if be == nil {
+func tierLedger(tier *storage.Tier) string {
+	if tier == nil {
 		return "none"
 	}
-	var spillSegs, spillBytes int64
-	if d, ok := be.(*storage.DiskBackend); ok {
-		spillSegs, spillBytes = d.SpillSegments, d.SpillBytes
-	}
 	return fmt.Sprintf("stored=%d segments=%d spill_segments=%d spill_bytes=%d",
-		be.StoredBytes(), be.SegmentCount(), spillSegs, spillBytes)
+		tier.StoredBytes(), tier.SegmentCount(), tier.SpillSegments, tier.SpillBytes)
 }
 
 func fmtOut(r *OutReport) string {
@@ -81,17 +77,17 @@ func fmtIn(r *InReport) string {
 // committed epoch, a crash + Recover, and a third cycle, and renders
 // every observable the storage tier can move.
 func runMatrixCase(c matrixCase) string {
-	var be storage.Backend
+	var tier *storage.Tier
 	if c.tier != nil {
-		be = c.tier()
+		tier = c.tier()
 	}
 	var r *rig
 	if c.standalone {
 		r = newTierRig(31, nil, 0)
 		r.m.Chains = nil
-		r.m.Backend = be
+		r.m.Tier = tier
 	} else {
-		r = newTierRig(31, be, c.cacheMB)
+		r = newTierRig(31, tier, c.cacheMB)
 	}
 	var b strings.Builder
 	logf := func(format string, args ...any) { fmt.Fprintf(&b, format+"\n", args...) }
@@ -161,7 +157,7 @@ func runMatrixCase(c matrixCase) string {
 	sv := r.m.Server
 	logf("server: received=%d served=%d queued=%d max_backlog=%d batches=%d batch_bytes=%d",
 		sv.Received, sv.Served, sv.Queued, sv.MaxBacklog, sv.Batches, sv.BatchBytes)
-	logf("tier: %s", tierLedger(be))
+	logf("tier: %s", tierLedger(tier))
 	if r.m.Cache != nil {
 		st := r.m.Cache.Stats()
 		logf("cache: hits=%d misses=%d hit_bytes=%d miss_bytes=%d evictions=%d expired=%d",

@@ -29,6 +29,23 @@
 // cost stays flat. Per-node uploads pipeline through bandwidth-shared
 // parallel streams (xfer.Server.StreamUpload) instead of serialized
 // full copies, so preemption cost is proportional to dirtied state.
+//
+// Chain state lives on the Manager's storage.Tier: nil keeps it on the
+// file server (the untiered pipeline), the snapshot-disk tier next to
+// the node, the remote tier on the shared pool. Each swap stage makes
+// its tier decision in one place: putDelta for pre-copy and the
+// residual flush, placeEpoch for a commit, planChain for a restore.
+// Three splits remain because they are behaviour, not duplication:
+//   - Full-copy mode keeps FIFO transfers (xfer.Copier, UploadTagged,
+//     DownloadTagged) while incremental mode uses fair-share streams:
+//     §7.2's 150 s-vs-35 s comparison is measured on the FIFO baseline.
+//   - An untiered restore keeps the lazy mirror (resume first,
+//     demand-page the disk state), while a tiered one prefetches the
+//     pool misses and waits for them: folding the untiered case into
+//     the tiered path would change every untiered resume time.
+//   - Options.PreCopy stays although only tests turn it off: the
+//     no-pre-copy swap-out is the reference that shows pre-copy
+//     shrinking the frozen transfer.
 package swap
 
 import (
@@ -158,8 +175,6 @@ type Options struct {
 	// PreCopy enables eager pre-copy during swap-out (default on via
 	// DefaultOptions).
 	PreCopy bool
-	// RateLimit caps background transfer bytes/sec (0 = unthrottled).
-	RateLimit int64
 	// Lazy enables lazy copy-in at swap-in.
 	Lazy bool
 	// Incremental enables the dirty-delta pipeline: swap-out moves only
@@ -182,8 +197,12 @@ type Options struct {
 // resident memory image moves on every swap-out and the whole
 // aggregated delta on every swap-in.
 func DefaultOptions() Options {
-	return Options{PreCopy: true, RateLimit: 10 << 20, Lazy: true}
+	return Options{PreCopy: true, Lazy: true}
 }
+
+// rateLimit caps background transfer bytes/sec — the paper's
+// rate-limited mirror synchronization, and xfer.NewCopier's default.
+const rateLimit = 10 << 20
 
 // IncrementalOptions is DefaultOptions plus the dirty-delta pipeline.
 func IncrementalOptions() Options {
@@ -238,18 +257,17 @@ type Manager struct {
 	// (snapshot-disk overflow pushed to the pool).
 	Stats *metrics.Counters
 
-	// Backend, when set, selects the physical tier committed
-	// checkpoint-chain segments live on (storage.DiskKind: the
-	// node-local snapshot disk; storage.RemoteKind: the shared pool
-	// with per-request round trips and batched puts). Nil — or a
-	// storage.MemKind backend — keeps the legacy pipeline byte for
-	// byte. Set it before the first swap cycle.
-	Backend storage.Backend
+	// Tier, when set, is the physical tier committed checkpoint-chain
+	// segments live on (storage.DiskKind: the node-local snapshot disk;
+	// storage.RemoteKind: the shared pool with per-request round trips
+	// and batched puts). Nil keeps the untiered pipeline. Set it before
+	// the first swap cycle.
+	Tier *storage.Tier
 
 	// Cache is the node-local delta cache fronting remotely-homed
 	// chain segments: restores consult it first and only the misses
 	// stream from the pool; commits and prefetches fill it. Nil
-	// disables caching. Only meaningful with a tiered Backend.
+	// disables caching. Only meaningful with a Tier.
 	Cache *storage.DeltaCache
 
 	// SaveDeadline bounds the save phase of this experiment's swap-out
@@ -303,7 +321,7 @@ func NewManager(s *sim.Simulator, server *xfer.Server, coord *core.Coordinator, 
 // Lineage returns (creating on first use) the named node's checkpoint
 // chain. A stand-alone manager (no cluster chain store) mirrors its
 // private store straight onto the tier, so prune folds — which re-key
-// the base — and GC reach the backend and the cache without cluster
+// the base — and GC reach the tier and the cache without cluster
 // wiring.
 func (m *Manager) Lineage(name string) *storage.Lineage {
 	l, ok := m.lineages[name]
@@ -312,16 +330,7 @@ func (m *Manager) Lineage(name string) *storage.Lineage {
 			l = m.Chains.NewLineage(m.MaxChainDepth)
 		} else {
 			cs := storage.NewChainStore()
-			if m.Backend != nil {
-				be, cache := m.Backend, m.Cache
-				cs.OnStore = func(a storage.Addr, n int64) { be.Put(a, n) }
-				cs.OnDrop = func(a storage.Addr, n int64) {
-					be.Delete(a)
-					if cache != nil {
-						cache.Drop(a)
-					}
-				}
-			}
+			cs.MirrorTo(m.Tier, m.Cache)
 			l = cs.NewLineage(m.MaxChainDepth)
 		}
 		m.lineages[name] = l
@@ -361,28 +370,37 @@ func (m *Manager) stat(name string, n int64) {
 	}
 }
 
-// tiered reports whether chain state goes through the pluggable
-// storage tiers. Nil backend and the mem tier keep the legacy
-// single-stream pipeline unchanged.
-func (m *Manager) tiered() bool {
-	return m.Backend != nil && m.Backend.Kind() != storage.MemKind
-}
-
 // localTier reports whether committed chain state lands on the
 // node-local snapshot disk (no control-LAN crossing).
 func (m *Manager) localTier() bool {
-	return m.Backend != nil && m.Backend.Kind() == storage.DiskKind
+	return m.Tier != nil && m.Tier.Kind == storage.DiskKind
 }
 
-// chainPlan partitions one lineage's replay chain across the storage
-// tiers for a restore: segments already resident on the target node
-// are skipped, cache hits and snapshot-disk segments serve locally,
-// and only the remainder streams from the shared pool.
+// remoteTier reports whether committed chain state is homed on the
+// shared pool, behind its per-request round trip.
+func (m *Manager) remoteTier() bool {
+	return m.Tier != nil && m.Tier.Kind == storage.RemoteKind
+}
+
+// putDelta moves a delta image to the chain's home and calls done: the
+// node-local snapshot disk takes it at the disk's own cost, off the
+// control LAN; otherwise it streams to the file server (the shared
+// pool, or the untiered store) through the fair-share pipe.
+func (m *Manager) putDelta(bytes int64, done func()) {
+	if m.localTier() {
+		m.stat("storage.local_bytes", bytes)
+		m.S.DoAfter(m.Tier.Cost(bytes), "swap.local-put", done)
+		return
+	}
+	if m.Tier != nil {
+		m.stat("storage.remote_bytes", bytes)
+	}
+	m.Server.StreamUpload(m.Tag, bytes, done)
+}
+
+// chainPlan is one node's tiered restore in flight: the pool misses
+// being prefetched and the node-local media time staging pays on top.
 type chainPlan struct {
-	// total is the replay state to stage; cached the part served off
-	// the delta cache, local the part read off the snapshot disk,
-	// remote the part streamed from the pool.
-	total, cached, local, remote int64
 	// cost is the node-local medium time (cache reads, disk reads,
 	// pool round trips) the staging pays on top of the streaming.
 	cost   sim.Time
@@ -392,41 +410,52 @@ type chainPlan struct {
 	waiters []func()
 }
 
-// planChain builds the restore plan, charging the cache's hit/miss
-// ledger as it goes. resident, when non-nil, is the clone-aware
-// resident-segment filter.
-func (m *Manager) planChain(lin *storage.Lineage, resident map[storage.Addr]bool) *chainPlan {
+// planChain partitions one lineage's replay chain across the storage
+// tiers for a restore — nil on the untiered pipeline. Segments already
+// resident on the target node (resident, when non-nil, is the
+// clone-aware filter) are skipped, cache hits and snapshot-disk
+// segments serve locally, and only the remainder streams from the
+// shared pool. It charges the cache's hit/miss ledger, records the
+// split in rep and the storage.* stats, and starts prefetching the
+// pool misses.
+func (m *Manager) planChain(lin *storage.Lineage, resident map[storage.Addr]bool, rep *InReport) *chainPlan {
+	if m.Tier == nil {
+		return nil
+	}
 	p := &chainPlan{}
+	var cached, local, remote int64
 	for _, seg := range lin.Segments() {
-		if seg.Bytes <= 0 {
+		if seg.Bytes <= 0 || resident[seg.Addr] {
 			continue
 		}
-		if resident != nil && resident[seg.Addr] {
-			continue
-		}
-		p.total += seg.Bytes
 		if m.Cache != nil {
 			if _, ok := m.Cache.Get(seg.Addr); ok {
-				p.cached += seg.Bytes
+				cached += seg.Bytes
 				p.cost += m.Cache.ReadCost(seg.Bytes)
 				continue
 			}
 			m.Cache.MissBytes(seg.Bytes)
 		}
-		if m.localTier() && m.Backend.Has(seg.Addr) {
-			p.local += seg.Bytes
-			p.cost += m.Backend.ReadCost(seg.Bytes)
+		if m.localTier() && m.Tier.Has(seg.Addr) {
+			local += seg.Bytes
+			p.cost += m.Tier.Cost(seg.Bytes)
 			continue
 		}
 		// Remotely homed: the pool streams it over the shared pipe
 		// (spilled snapshot-disk overflow included), plus the pool's
 		// per-request round trip on the remote tier.
-		p.remote += seg.Bytes
-		if m.Backend.Kind() == storage.RemoteKind {
-			p.cost += m.Backend.ReadCost(seg.Bytes)
+		remote += seg.Bytes
+		if m.remoteTier() {
+			p.cost += m.Tier.Cost(seg.Bytes)
 		}
 		p.misses = append(p.misses, seg)
 	}
+	rep.CachedBytes = cached + local
+	rep.RemoteBytes = remote
+	m.stat("storage.remote_bytes", remote)
+	m.stat("storage.cache_hit_bytes", cached)
+	m.stat("storage.local_bytes", local)
+	p.prefetch(m)
 	return p
 }
 
@@ -454,30 +483,35 @@ func (p *chainPlan) prefetch(m *Manager) {
 	})
 }
 
-// wait runs fn once the prefetch has drained (immediately if done).
-func (p *chainPlan) wait(fn func()) {
+// stage runs fn once the prefetch has drained and the node-local
+// media time (cache and snapshot-disk reads, pool round trips) has
+// passed.
+func (p *chainPlan) stage(m *Manager, fn func()) {
+	local := func() { m.S.DoAfter(p.cost, "swap.stage-local", fn) }
 	if p.fetched {
-		fn()
+		local()
 		return
 	}
-	p.waiters = append(p.waiters, fn)
+	p.waiters = append(p.waiters, local)
 }
 
 // placeEpoch records a lineage's newest committed epoch on the
 // physical tier and fills the delta cache for remotely-homed content.
 // It returns the bytes that must spill to the shared pool because the
-// snapshot disk is over its capacity budget.
+// snapshot disk is over its capacity budget (none when untiered).
 func (m *Manager) placeEpoch(lin *storage.Lineage) int64 {
+	if m.Tier == nil {
+		return 0
+	}
 	segs := lin.Segments()
 	seg := segs[len(segs)-1]
 	if seg.Bytes <= 0 {
 		return 0
 	}
-	// A cluster-wired ChainStore already mirrored the commit onto the
-	// backend through its OnStore hook; the direct Put covers managers
-	// wired stand-alone.
-	onTier := m.Backend.Has(seg.Addr) || m.Backend.Put(seg.Addr, seg.Bytes)
-	if m.Cache != nil && (!onTier || m.Backend.Kind() == storage.RemoteKind) {
+	// A mirrored ChainStore already put the commit on the tier; the
+	// direct Put covers a tier the store does not mirror onto.
+	onTier := m.Tier.Has(seg.Addr) || m.Tier.Put(seg.Addr, seg.Bytes)
+	if m.Cache != nil && (!onTier || m.remoteTier()) {
 		// Remotely homed (pool tier, or snapshot-disk overflow): the
 		// freshest epoch is the hottest restore content — cache it.
 		m.Cache.Put(seg.Addr, seg.Bytes)
@@ -587,27 +621,24 @@ func (m *Manager) SwapOut(o Options, done func([]*OutReport, error)) error {
 			}
 		}
 		if o.Incremental {
-			m.streamOut(o, n.Vol.Disk, bytes, finish)
+			m.streamOut(n.Vol.Disk, bytes, finish)
 			continue
 		}
 		c := xfer.NewCopier(m.S, n.Vol.Disk, m.Server)
 		c.Tag = m.Tag
-		if o.RateLimit > 0 {
-			c.RateLimit = o.RateLimit
-		}
 		c.CopyOut(storage.CurBase, bytes, finish)
 	}
 	return nil
 }
 
-// streamOut reads a delta image off the node's disk and pushes it
-// through the server's fair-share pipe concurrently; done fires with
-// the bytes moved when both the spindle and the network are finished.
+// streamOut reads a delta image off the node's disk and puts it on the
+// chain's home concurrently; done fires with the bytes moved when both
+// the spindle and the put are finished.
 // The disk side reads in paced chunks — pre-copy runs while the guest
 // is live, and a monolithic read would head-of-line block every
 // foreground I/O behind the whole delta; the network side is one
 // stream, since fair sharing is the pipe's job.
-func (m *Manager) streamOut(o Options, disk *node.Disk, bytes int64, done func(moved int64)) {
+func (m *Manager) streamOut(disk *node.Disk, bytes int64, done func(moved int64)) {
 	if bytes <= 0 {
 		m.S.DoAfter(0, "swap.stream0", func() { done(0) })
 		return
@@ -620,10 +651,7 @@ func (m *Manager) streamOut(o Options, disk *node.Disk, bytes int64, done func(m
 		}
 	}
 	const chunk = 1 << 20
-	pace := sim.Time(0)
-	if o.RateLimit > 0 {
-		pace = sim.Time(float64(chunk) / float64(o.RateLimit) * float64(sim.Second))
-	}
+	const pace = chunk * sim.Second / rateLimit
 	var read func(cur int64)
 	read = func(cur int64) {
 		n := int64(chunk)
@@ -640,17 +668,7 @@ func (m *Manager) streamOut(o Options, disk *node.Disk, bytes int64, done func(m
 		}})
 	}
 	read(0)
-	if m.localTier() {
-		// The delta lands on the node-local snapshot disk: seek plus
-		// bandwidth on the disk's own medium, no control-LAN crossing.
-		m.stat("storage.local_bytes", bytes)
-		m.S.DoAfter(m.Backend.PutCost(bytes), "swap.local-stream", fin)
-		return
-	}
-	if m.tiered() {
-		m.stat("storage.remote_bytes", bytes)
-	}
-	m.Server.StreamUpload(m.Tag, bytes, fin)
+	m.putDelta(bytes, fin)
 }
 
 // afterFreeze flushes residual deltas and memory accounting, commits
@@ -711,13 +729,11 @@ func (m *Manager) afterFreeze(o Options, res *core.Result, reports []*OutReport,
 				lin.Drop(n.IsFree)
 				rep.ChainDepth = lin.Depth()
 				serverWork = lin.MergedBytes - pruned
-				if m.tiered() {
-					// Record the epoch on its tier; snapshot-disk overflow
-					// spills to the pool during the offline window below.
-					if spillBytes = m.placeEpoch(lin); spillBytes > 0 {
-						m.stat("storage.spill_bytes", spillBytes)
-						m.stat("storage.remote_bytes", spillBytes)
-					}
+				// Record the epoch on its tier; snapshot-disk overflow
+				// spills to the pool during the offline window below.
+				if spillBytes = m.placeEpoch(lin); spillBytes > 0 {
+					m.stat("storage.spill_bytes", spillBytes)
+					m.stat("storage.remote_bytes", spillBytes)
 				}
 				if o.CloneAware {
 					// The node's disk holds exactly the state the chain now
@@ -773,19 +789,10 @@ func (m *Manager) afterFreeze(o Options, res *core.Result, reports []*OutReport,
 				m.Server.StreamUpload(m.Tag, spillBytes, nodeDone)
 			}
 		}
-		switch {
-		case !o.Incremental:
+		if o.Incremental {
+			m.putDelta(rep.ResidualBytes, afterFlush)
+		} else {
 			m.Server.UploadTagged(m.Tag, rep.ResidualBytes, afterFlush)
-		case m.localTier():
-			// The residual delta flushes to the node-local snapshot
-			// disk, off the control LAN.
-			m.stat("storage.local_bytes", rep.ResidualBytes)
-			m.S.DoAfter(m.Backend.PutCost(rep.ResidualBytes), "swap.local-flush", afterFlush)
-		default:
-			if m.tiered() {
-				m.stat("storage.remote_bytes", rep.ResidualBytes)
-			}
-			m.Server.StreamUpload(m.Tag, rep.ResidualBytes, afterFlush)
 		}
 	}
 }
@@ -800,7 +807,7 @@ func (m *Manager) SwapIn(o Options, done func([]*InReport, error)) error {
 	start := m.S.Now()
 	reports := make([]*InReport, len(m.Nodes))
 	remaining := len(m.Nodes)
-	finishNode := func(i int) {
+	finishNode := func() {
 		remaining--
 		if remaining == 0 {
 			// All state staged: resume the experiment together.
@@ -820,10 +827,8 @@ func (m *Manager) SwapIn(o Options, done func([]*InReport, error)) error {
 				done(nil, fmt.Errorf("swap: %v", err))
 			}
 		}
-		_ = i
 	}
 	for i, n := range m.Nodes {
-		i, n := i, n
 		rep := &InReport{Started: start, Lazy: o.Lazy, Incremental: o.Incremental}
 		reports[i] = rep
 		// The disk state to stage: the merged aggregated delta, or the
@@ -834,101 +839,82 @@ func (m *Manager) SwapIn(o Options, done func([]*InReport, error)) error {
 		var plan *chainPlan
 		if o.Incremental {
 			lin := m.Lineage(n.Name)
-			diskBytes = lin.ReplayBytes()
+			var resident map[storage.Addr]bool
 			if o.CloneAware {
-				diskBytes = lin.MissingBytes(n.Resident)
+				resident = n.Resident
 			}
+			diskBytes = lin.MissingBytes(resident)
 			rep.ChainDepth = lin.Depth()
-			if m.tiered() {
-				// Tiered staging: partition the chain across the cache,
-				// the snapshot disk and the pool, and start prefetching
-				// the pool misses now — overlapped with the golden
-				// fetch, node setup and the memory download below.
-				var res map[storage.Addr]bool
+			plan = m.planChain(lin, resident, rep)
+		}
+		m.provision(n, rep, func() {
+			// Memory image download, then disk state.
+			memDone := func() {
+				rep.MemoryBytes = n.MemImageBytes
+				rep.DeltaBytes = diskBytes
+				m.stat("in.mem_bytes", rep.MemoryBytes)
+				m.stat("in.disk_bytes", diskBytes)
 				if o.CloneAware {
-					res = n.Resident
+					// Once staging is under way the chain's segments are
+					// bound for the node's disk; record them so the next
+					// cycle here moves only fresh divergence.
+					n.MarkResident(m.Lineage(n.Name))
 				}
-				plan = m.planChain(lin, res)
-				diskBytes = plan.total
-				rep.CachedBytes = plan.cached + plan.local
-				rep.RemoteBytes = plan.remote
-				m.stat("storage.remote_bytes", plan.remote)
-				m.stat("storage.cache_hit_bytes", plan.cached)
-				m.stat("storage.local_bytes", plan.local)
-				plan.prefetch(m)
+				if plan != nil {
+					// Tiered staging: the pool misses were prefetched in
+					// parallel with setup. No lazy mirror — prefetch
+					// overlap is what keeps the restore off the critical
+					// path.
+					plan.stage(m, finishNode)
+					return
+				}
+				if !o.Lazy {
+					// Eager: the whole disk state lands before the
+					// node may resume.
+					c := xfer.NewCopier(m.S, n.Vol.Disk, m.Server)
+					c.Tag = m.Tag
+					c.CopyIn(storage.AggBase, diskBytes, func(int64) {
+						finishNode()
+					})
+					return
+				}
+				// Lazy: resume immediately; the staged disk image is
+				// demand-paged and back-filled into the COW log region
+				// (raw addressing — the delta is an image file, not
+				// guest-visible block space).
+				lm := xfer.NewLazyMirror(m.S, rawRegion{d: n.Vol.Disk, base: storage.AggBase},
+					m.Server, n.Vol.Disk, diskBytes)
+				lm.SetTag(m.Tag)
+				n.lazy = lm
+				lm.StartBackground(func() { rep.BackgroundDone = m.S.Now() })
+				finishNode()
 			}
-		}
-		stage2 := func() {
-			// Node setup + memory image download, then disk state.
-			m.S.DoAfter(NodeSetupTime, "swap.setup", func() {
-				memDone := func() {
-					rep.MemoryBytes = n.MemImageBytes
-					rep.DeltaBytes = diskBytes
-					m.stat("in.mem_bytes", rep.MemoryBytes)
-					m.stat("in.disk_bytes", diskBytes)
-					if o.CloneAware {
-						// Once staging is under way the chain's segments are
-						// bound for the node's disk; record them so the next
-						// cycle here moves only fresh divergence.
-						n.MarkResident(m.Lineage(n.Name))
-					}
-					if plan != nil {
-						// Tiered staging: the pool misses were prefetched in
-						// parallel with setup; once they land, the rest is
-						// node-local media time (cache and snapshot-disk
-						// reads). No lazy mirror — prefetch overlap is what
-						// keeps the restore off the critical path.
-						plan.wait(func() {
-							m.S.DoAfter(plan.cost, "swap.stage-local", func() {
-								finishNode(i)
-							})
-						})
-						return
-					}
-					if !o.Lazy {
-						// Eager: the whole disk state lands before the
-						// node may resume.
-						c := xfer.NewCopier(m.S, n.Vol.Disk, m.Server)
-						c.Tag = m.Tag
-						if o.RateLimit > 0 {
-							c.RateLimit = o.RateLimit
-						}
-						c.CopyIn(storage.AggBase, diskBytes, func(int64) {
-							finishNode(i)
-						})
-						return
-					}
-					// Lazy: resume immediately; the staged disk image is
-					// demand-paged and back-filled into the COW log region
-					// (raw addressing — the delta is an image file, not
-					// guest-visible block space).
-					lm := xfer.NewLazyMirror(m.S, rawRegion{d: n.Vol.Disk, base: storage.AggBase},
-						m.Server, n.Vol.Disk, diskBytes)
-					lm.SetTag(m.Tag)
-					n.lazy = lm
-					lm.StartBackground(func() { rep.BackgroundDone = m.S.Now() })
-					finishNode(i)
-				}
-				if o.Incremental {
-					// Memory images pipeline across nodes on the shared
-					// pipe instead of queueing behind each other.
-					m.Server.StreamDownload(m.Tag, n.MemImageBytes, memDone)
-				} else {
-					m.Server.DownloadTagged(m.Tag, n.MemImageBytes, memDone)
-				}
-			})
-		}
-		if !n.GoldenCached {
-			rep.GoldenFetched = true
-			m.S.DoAfter(GoldenFetchTime, "swap.frisbee", func() {
-				n.GoldenCached = true
-				stage2()
-			})
-		} else {
-			stage2()
-		}
+			if o.Incremental {
+				// Memory images pipeline across nodes on the shared
+				// pipe instead of queueing behind each other.
+				m.Server.StreamDownload(m.Tag, n.MemImageBytes, memDone)
+			} else {
+				m.Server.DownloadTagged(m.Tag, n.MemImageBytes, memDone)
+			}
+		})
 	}
 	return nil
+}
+
+// provision readies a node's hardware for a restore: a Frisbee fetch
+// of the golden image unless the node has it cached, then the fixed
+// node setup. fn runs once both are done.
+func (m *Manager) provision(n *Node, rep *InReport, fn func()) {
+	setup := func() { m.S.DoAfter(NodeSetupTime, "swap.setup", fn) }
+	if n.GoldenCached {
+		setup()
+		return
+	}
+	rep.GoldenFetched = true
+	m.S.DoAfter(GoldenFetchTime, "swap.frisbee", func() {
+		n.GoldenCached = true
+		setup()
+	})
 }
 
 // CommitEpoch durably commits the experiment's live state to its
@@ -983,11 +969,8 @@ func (m *Manager) CommitEpoch(done func(moved int64)) {
 			p.lin.Commit(p.blocks, p.memPages)
 			p.lin.Drop(p.n.IsFree)
 			p.n.MarkResident(p.lin)
-			if m.tiered() {
-				sp := m.placeEpoch(p.lin)
-				if !p.remote {
-					spill += sp
-				}
+			if sp := m.placeEpoch(p.lin); !p.remote {
+				spill += sp
 			}
 		}
 		complete := func() {
@@ -1030,14 +1013,13 @@ func (m *Manager) CommitEpoch(done func(moved int64)) {
 		switch {
 		case bytes <= 0:
 			m.S.DoAfter(0, "swap.commit0", fin)
-		case !m.tiered():
+		case m.Tier == nil:
 			m.Server.StreamUpload(m.Tag, bytes, fin)
-		case m.localTier() && m.Backend.Fits(diskB):
+		case m.localTier() && m.Tier.Fits(diskB):
 			// The disk epoch lands on the node-local snapshot disk; only
 			// the memory delta crosses to the pool (memory images are
 			// always server-homed, so a restore can rebuild the resident
 			// image without the dead node's media).
-			m.stat("storage.local_bytes", diskB)
 			legs := 2
 			leg := func() {
 				legs--
@@ -1045,7 +1027,7 @@ func (m *Manager) CommitEpoch(done func(moved int64)) {
 					fin()
 				}
 			}
-			m.S.DoAfter(m.Backend.PutCost(diskB), "swap.epoch-local", leg)
+			m.putDelta(diskB, leg)
 			if memB > 0 {
 				m.Server.StreamUpload(m.Tag, memB, leg)
 			} else {
@@ -1066,7 +1048,7 @@ func (m *Manager) CommitEpoch(done func(moved int64)) {
 			pc.remote = true
 			m.stat("storage.remote_bytes", diskB)
 			m.Server.StreamUploadBatch(m.Tag, []int64{diskB, memB}, func(int64) {
-				m.S.DoAfter(m.Backend.PutCost(diskB), "swap.epoch-rtt", fin)
+				m.S.DoAfter(m.Tier.Cost(diskB), "swap.epoch-rtt", fin)
 			})
 		}
 		pend = append(pend, pc)
@@ -1156,73 +1138,48 @@ func (m *Manager) Recover(o Options, done func([]*InReport, error)) error {
 		done(reports, nil)
 	}
 	for i, n := range m.Nodes {
-		i, n := i, n
 		lin := m.Lineage(n.Name)
-		diskBytes := lin.ReplayBytes()
-		if lin.Epochs() == 0 {
-			// No incremental chain: the restore point is the full-copy
-			// swap-out image (memory image + aggregated delta).
-			diskBytes = n.AggBytesOnServer
-		}
+		rep := &InReport{Started: start, Incremental: lin.Epochs() > 0, ChainDepth: lin.Depth()}
+		reports[i] = rep
+		// No incremental chain: the restore point is the full-copy
+		// swap-out image (memory image + aggregated delta).
+		diskBytes := n.AggBytesOnServer
 		var plan *chainPlan
-		if lin.Epochs() > 0 && m.tiered() {
+		if rep.Incremental {
+			diskBytes = lin.ReplayBytes()
 			// Tiered recovery: chain segments on node-local media (the
 			// snapshot disk survives a fail-stop; the cache was filled by
 			// the epoch pipeline's commits) restore without the pool, and
 			// the misses prefetch in parallel with re-provisioning.
-			plan = m.planChain(lin, nil)
-			diskBytes = plan.total
-			m.stat("storage.remote_bytes", plan.remote)
-			m.stat("storage.cache_hit_bytes", plan.cached)
-			m.stat("storage.local_bytes", plan.local)
-			plan.prefetch(m)
+			plan = m.planChain(lin, nil, rep)
 		}
 		memBytes := n.HV.K.MemoryImageBytes()
-		rep := &InReport{Started: start, Incremental: lin.Epochs() > 0, ChainDepth: lin.Depth()}
-		if plan != nil {
-			rep.CachedBytes = plan.cached + plan.local
-			rep.RemoteBytes = plan.remote
-		}
-		reports[i] = rep
-		stage := func() {
-			m.S.DoAfter(NodeSetupTime, "swap.recover-setup", func() {
-				m.Server.StreamDownload(m.Tag, memBytes, func() {
-					rep.MemoryBytes = memBytes
-					m.stat("in.mem_bytes", memBytes)
-					finishDisk := func() {
-						rep.DeltaBytes = diskBytes
-						m.stat("in.disk_bytes", diskBytes)
-						remaining--
-						if remaining == 0 {
-							finishAll()
-						}
+		m.provision(n, rep, func() {
+			m.Server.StreamDownload(m.Tag, memBytes, func() {
+				rep.MemoryBytes = memBytes
+				m.stat("in.mem_bytes", memBytes)
+				finishDisk := func() {
+					rep.DeltaBytes = diskBytes
+					m.stat("in.disk_bytes", diskBytes)
+					remaining--
+					if remaining == 0 {
+						finishAll()
 					}
-					if plan != nil {
-						plan.wait(func() {
-							m.S.DoAfter(plan.cost, "swap.recover-local", finishDisk)
-						})
-						return
+				}
+				if plan != nil {
+					plan.stage(m, finishDisk)
+					return
+				}
+				if diskBytes <= 0 {
+					remaining--
+					if remaining == 0 {
+						finishAll()
 					}
-					if diskBytes <= 0 {
-						remaining--
-						if remaining == 0 {
-							finishAll()
-						}
-						return
-					}
-					m.Server.StreamDownload(m.Tag, diskBytes, finishDisk)
-				})
+					return
+				}
+				m.Server.StreamDownload(m.Tag, diskBytes, finishDisk)
 			})
-		}
-		if !n.GoldenCached {
-			rep.GoldenFetched = true
-			m.S.DoAfter(GoldenFetchTime, "swap.recover-frisbee", func() {
-				n.GoldenCached = true
-				stage()
-			})
-		} else {
-			stage()
-		}
+		})
 	}
 	return nil
 }

@@ -8,21 +8,20 @@ import (
 	"emucheck/internal/storage"
 )
 
-// tierRig wires the plain rig onto a pluggable storage tier the way a
-// cluster does: a shared chain store mirroring onto the backend, and
-// an optional delta cache consulting the store's refcounts.
-func newTierRig(seed int64, be storage.Backend, cacheMB int64) *rig {
+// newTierRig wires the plain rig onto a storage tier the way a cluster
+// does: a shared chain store mirroring onto the tier and an optional
+// delta cache consulting the store's refcounts.
+func newTierRig(seed int64, tier *storage.Tier, cacheMB int64) *rig {
 	r := newRig(seed)
 	r.m.Stats = metrics.NewCounters()
 	cs := storage.NewChainStore()
 	r.m.Chains = cs
-	if be != nil {
-		cs.OnStore = func(a storage.Addr, n int64) { be.Put(a, n) }
-		cs.OnDrop = func(a storage.Addr, n int64) { be.Delete(a) }
-		r.m.Backend = be
+	if tier != nil {
+		r.m.Tier = tier
 		if cacheMB > 0 {
 			r.m.Cache = storage.NewDeltaCache(cacheMB<<20, cs.Refs)
 		}
+		cs.MirrorTo(tier, r.m.Cache)
 	}
 	return r
 }
@@ -47,9 +46,9 @@ func runCycles(t *testing.T, r *rig, cycles int) *InReport {
 // server bytes than the identical run without a cache, with the hits
 // visible in the report and the stats ledger.
 func TestTieredRemoteCacheServesRestores(t *testing.T) {
-	cached := newTierRig(5, storage.NewRemoteBackend(), 2048)
+	cached := newTierRig(5, storage.NewTier(storage.RemoteKind, 0), 2048)
 	inC := runCycles(t, cached, 3)
-	uncached := newTierRig(5, storage.NewRemoteBackend(), 0)
+	uncached := newTierRig(5, storage.NewTier(storage.RemoteKind, 0), 0)
 	runCycles(t, uncached, 3)
 
 	if inC.CachedBytes <= 0 || inC.RemoteBytes != 0 {
@@ -85,9 +84,9 @@ func TestTieredRemoteCacheServesRestores(t *testing.T) {
 // produce the identical hit/miss/evict ledger — cache behavior is part
 // of the deterministic-run contract.
 func TestTieredCacheLedgerDeterministic(t *testing.T) {
-	a := newTierRig(9, storage.NewRemoteBackend(), 64)
+	a := newTierRig(9, storage.NewTier(storage.RemoteKind, 0), 64)
 	runCycles(t, a, 4)
-	b := newTierRig(9, storage.NewRemoteBackend(), 64)
+	b := newTierRig(9, storage.NewTier(storage.RemoteKind, 0), 64)
 	runCycles(t, b, 4)
 	if a.m.Cache.Stats() != b.m.Cache.Stats() {
 		t.Fatalf("same seed, different cache ledgers:\n%+v\n%+v", a.m.Cache.Stats(), b.m.Cache.Stats())
@@ -102,7 +101,7 @@ func TestTieredCacheLedgerDeterministic(t *testing.T) {
 // LAN, so the tiered run's server traffic is strictly below the legacy
 // run's.
 func TestTieredDiskKeepsChainOffLAN(t *testing.T) {
-	disk := newTierRig(3, storage.NewDiskBackend(0), 0)
+	disk := newTierRig(3, storage.NewTier(storage.DiskKind, 0), 0)
 	in := runCycles(t, disk, 3)
 	legacy := newTierRig(3, nil, 0)
 	runCycles(t, legacy, 3)
@@ -125,9 +124,9 @@ func TestTieredDiskKeepsChainOffLAN(t *testing.T) {
 
 // TestTieredDiskSpillsToPool: a snapshot disk too small for the chain
 // spills overflow to the pool — the run still restores correctly, and
-// the spill is accounted on both the backend and the stats ledger.
+// the spill is accounted on both the tier and the stats ledger.
 func TestTieredDiskSpillsToPool(t *testing.T) {
-	be := storage.NewDiskBackend(8 << 20) // chain epochs are 16 MB each
+	be := storage.NewTier(storage.DiskKind, 8<<20) // chain epochs are 16 MB each
 	r := newTierRig(7, be, 0)
 	in := runCycles(t, r, 3)
 
@@ -151,18 +150,18 @@ func TestTieredDiskSpillsToPool(t *testing.T) {
 // cluster chain store must still mirror its private store onto the
 // tier — including prune folds, which re-key the base — so the disk
 // tier keeps the whole chain off the LAN and dead segments leave the
-// backend.
+// tier.
 func TestStandaloneManagerMirrorsPrivateStore(t *testing.T) {
-	be := storage.NewDiskBackend(0)
+	be := storage.NewTier(storage.DiskKind, 0)
 	r := newRig(13)
 	r.m.Stats = metrics.NewCounters()
-	r.m.Backend = be
+	r.m.Tier = be
 	r.m.MaxChainDepth = 2 // force folds: 5 cycles re-key the base repeatedly
 	runCycles(t, r, 5)
 
 	cs := r.m.Lineage("n0").Store()
 	if be.SegmentCount() != cs.Entries() || be.StoredBytes() != cs.StoredBytes() {
-		t.Fatalf("backend (%d segs / %d bytes) drifted from the store (%d / %d)",
+		t.Fatalf("tier (%d segs / %d bytes) drifted from the store (%d / %d)",
 			be.SegmentCount(), be.StoredBytes(), cs.Entries(), cs.StoredBytes())
 	}
 	for _, seg := range r.m.Lineage("n0").Segments() {
@@ -178,18 +177,18 @@ func TestStandaloneManagerMirrorsPrivateStore(t *testing.T) {
 
 // TestTieredReplayByteIdentical: the storage tier is a cost model, not
 // a content model — the same workload must materialize byte-identical
-// chain state through every backend, and that state must match the
+// chain state through every tier, and that state must match the
 // volume's own snapshot (the lineage correctness invariant).
 func TestTieredReplayByteIdentical(t *testing.T) {
-	materialize := func(be storage.Backend, cacheMB int64) (map[int64]int64, map[int64]int64) {
+	materialize := func(be *storage.Tier, cacheMB int64) (map[int64]int64, map[int64]int64) {
 		r := newTierRig(21, be, cacheMB)
 		runCycles(t, r, 4)
 		lin := r.m.Lineage("n0")
 		return lin.Materialize(), r.vol.Snapshot(nil)
 	}
 	legacyChain, legacyVol := materialize(nil, 0)
-	diskChain, diskVol := materialize(storage.NewDiskBackend(0), 0)
-	remoteChain, remoteVol := materialize(storage.NewRemoteBackend(), 256)
+	diskChain, diskVol := materialize(storage.NewTier(storage.DiskKind, 0), 0)
+	remoteChain, remoteVol := materialize(storage.NewTier(storage.RemoteKind, 0), 256)
 
 	equal := func(name string, got, want map[int64]int64) {
 		t.Helper()
