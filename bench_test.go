@@ -366,15 +366,15 @@ var (
 	scaleRes  *evalrun.ScaleResult
 )
 
-// BenchmarkScale regenerates the oversubscription trajectory at 1k and
-// 10k tenants and asserts the scheduler hot path scales sub-linearly:
-// growing the fleet 10x (over a pool that stops growing at 256 nodes)
-// must grow the mean wall-clock cost per scheduler decision by well
-// under 10x — the indexed queue/victim structures' acceptance bar.
-// Decision cost is wall-clock, so the bound is deliberately loose (8x
-// against a ~2-3x measured ratio; the zero-alloc event core shrank
-// absolute decision times enough that the short 1k measurement swings
-// ~3x run to run); a linear-scan regression shows up as ~40x and
+// BenchmarkScale regenerates the oversubscription trajectory — the
+// one-facility federation fleet — at 1k and 10k tenants and asserts
+// the scheduler hot path scales sub-linearly: growing the fleet 10x
+// (over a pool that stops growing at 256 nodes) must grow the mean
+// wall-clock cost per scheduler decision by well under 10x — the
+// indexed queue/victim structures' acceptance bar. Decision cost is
+// wall-clock and includes the chain-restore pricing the admission
+// hook runs, so the bound is deliberately loose (8x against a ~1.3x
+// measured ratio); a linear-scan regression shows up as ~40x and
 // fails regardless of machine noise.
 func BenchmarkScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -1,20 +1,17 @@
 package evalrun
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"time"
 
+	"emucheck/internal/federation"
 	"emucheck/internal/metrics"
-	"emucheck/internal/notify"
-	"emucheck/internal/sched"
-	"emucheck/internal/sim"
 )
 
-// ScaleRow is one fleet size's outcome: a seeded synthetic tenant
-// population driven through the scheduler/event hot path (admission,
-// preemption, voluntary park/unpark cycles, per-tenant activity ticks,
+// ScaleRow is one fleet size's outcome: the federation's seeded
+// synthetic tenant population on a single facility, driven through
+// the scheduler/event hot path (admission, preemption, voluntary
+// park/unpark cycles, chain restores, per-tenant activity ticks,
 // scoped control-LAN traffic), with the scheduler's decision work
 // wall-clocked. Simulation-domain fields (everything the Digest
 // covers) are bit-deterministic under the seed; wall-clock fields
@@ -32,11 +29,10 @@ type ScaleRow struct {
 	Events uint64 `json:"events"`
 	Ticks  int64  `json:"ticks"`
 	// Published/Delivered count scoped control-LAN bus traffic.
-	Published      uint64 `json:"published"`
-	Delivered      uint64 `json:"delivered"`
-	Admissions     int    `json:"admissions"`
-	Preemptions    int    `json:"preemptions"`
-	GangAdmissions int    `json:"gang_admissions"`
+	Published   uint64 `json:"published"`
+	Delivered   uint64 `json:"delivered"`
+	Admissions  int    `json:"admissions"`
+	Preemptions int    `json:"preemptions"`
 	// Decisions = Admissions + Preemptions; MeanDecisionUS is the mean
 	// wall-clock microseconds of scheduler work per decision
 	// (DecisionNanos / Decisions) — the quantity that must stay flat as
@@ -49,281 +45,52 @@ type ScaleRow struct {
 	// per wall millisecond.
 	EventsPerWallMS float64 `json:"events_per_wall_ms"`
 	TicksPerWallMS  float64 `json:"ticks_per_wall_ms"`
-	// Digest is an FNV-64a over the run's simulation-domain outcome
-	// (final clock, event count, scheduler ledgers, per-tenant stats in
-	// submit order). Same seed + same fleet size must reproduce it
-	// byte for byte, on any machine.
+	// Digest is the one-facility federation digest (federation.Digest):
+	// same seed + same fleet size must reproduce it byte for byte, on
+	// any machine.
 	Digest string `json:"digest"`
 }
 
-// ScaleResult is the oversubscription-at-scale benchmark: the same
-// synthetic fleet recipe instantiated at increasing tenant counts over
-// a pool that stops growing at 256 nodes, so the large sizes measure
-// genuine oversubscription (docs/scale.md).
+// ScaleResult is the oversubscription-at-scale benchmark: the
+// one-facility federation fleet instantiated at increasing tenant
+// counts over a pool that stops growing at 256 nodes, so the large
+// sizes measure genuine oversubscription (docs/scale.md).
 type ScaleResult struct {
 	Seed int64      `json:"seed"`
 	Rows []ScaleRow `json:"rows"`
 }
 
-// scalePool sizes the hardware pool for n tenants: a quarter of the
-// fleet, floored at 4 and capped at 256 — past the cap, adding tenants
-// adds contention, not capacity, which is exactly the regime the
-// indexed scheduler hot path exists for.
-func scalePool(n int) int {
-	p := n / 4
-	if p < 4 {
-		p = 4
-	}
-	if p > 256 {
-		p = 256
-	}
-	return p
-}
-
-// scaleHorizon bounds one fleet run. Generous: the 10k-tenant fleet's
-// aggregate service demand over a 256-node pool needs ~11 simulated
-// minutes of pure service; a run that has not drained by the horizon
-// still produces a valid (deterministic) row.
-const scaleHorizon = 20 * sim.Minute
-
-// scaleFleet is one synthetic tenant population wired to a scheduler
-// and a scoped notification bus on a shared simulator.
-type scaleFleet struct {
-	s   *sim.Simulator
-	d   *sched.Scheduler
-	bus *notify.Bus
-
-	tenants []*scaleTenant
-	ticks   int64
-}
-
-// scaleTenant is one synthetic experiment. Two species, mixed 4:1:
-//
-//   - bursty (80%): works a ~3 s burst of 100 ms activity ticks, then
-//     voluntarily parks and sleeps ~5-7 s, for a few cycles — the
-//     paper's mostly-idle tenant, exercising park/unpark churn.
-//   - hog (20%): ticks until its owed work is done, never yielding —
-//     the tenant preemption exists for.
-//
-// All per-tenant parameters derive arithmetically from the submit
-// index (no RNG draws), so the workload shape is identical across
-// seeds and the simulator's RNG stream is consumed only by bus
-// delivery jitter.
-type scaleTenant struct {
-	f    *scaleFleet
-	idx  int
-	name string
-	hog  bool
-	job  *sched.Job
-
-	// timer drives both activity ticks (while running) and the idle
-	// wake-up (while voluntarily parked) — one event allocation for the
-	// tenant's whole life.
-	timer    *sim.Timer
-	interval sim.Time
-
-	burstLen int      // bursty: ticks per burst
-	cycles   int      // bursty: bursts before finishing
-	idleDur  sim.Time // bursty: sleep between bursts
-	owed     int      // hog: total ticks before finishing
-
-	ticks      int
-	burstTicks int
-	cycle      int
-	sleeping   bool // parked voluntarily; timer means "wake up"
-	deliveries int
-	cancels    []func()
-}
-
-func (f *scaleFleet) newTenant(idx int) *scaleTenant {
-	t := &scaleTenant{
-		f: f, idx: idx,
-		name:     fmt.Sprintf("t%d", idx),
-		hog:      idx%5 == 4,
-		interval: 100*sim.Millisecond + sim.Time(idx%7)*3*sim.Millisecond,
-	}
-	if t.hog {
-		t.owed = 120 + (idx%50)*3
-	} else {
-		t.burstLen = 24 + idx%8
-		t.cycles = 2 + idx%3
-		t.idleDur = 5*sim.Second + sim.Time(idx%5)*500*sim.Millisecond
-	}
-	t.timer = f.s.NewTimer("fleet.tick", t.fire)
-	t.job = &sched.Job{
-		Name: t.name, Need: 1, Preemptible: true,
-		Hooks: sched.Hooks{
-			// Fixed-delay mechanism stubs: the fleet measures the
-			// scheduler/event hot path, not swap transfer costs.
-			Start: func(done func(error)) {
-				f.s.DoAfter(2*sim.Second, "fleet.start", func() {
-					done(nil)
-					t.timer.Reset(t.interval)
-				})
-			},
-			Park: func(done func(error)) {
-				f.s.DoAfter(sim.Second, "fleet.park", func() {
-					t.timer.Stop()
-					done(nil)
-					if t.sleeping {
-						t.timer.Reset(t.idleDur)
-					}
-				})
-			},
-			Resume: func(done func(error)) {
-				f.s.DoAfter(1500*sim.Millisecond, "fleet.resume", func() {
-					done(nil)
-					t.timer.Reset(t.interval)
-				})
-			},
-			ParkCost: func() int64 { return int64(1+t.idx%16) << 20 },
-		},
-	}
-	// Two scoped subscribers per tenant (a daemon pair), so every
-	// publish fans out within the tenant's scope only — the indexed
-	// bus's whole point at fleet scale.
-	for k := 0; k < 2; k++ {
-		t.cancels = append(t.cancels, f.bus.SubscribeScoped("activity", t.name, t.name, func(*notify.Msg) {
-			t.deliveries++
-		}))
-	}
-	f.tenants = append(f.tenants, t)
-	return t
-}
-
-// fire is the tenant's timer callback: an idle wake-up when sleeping,
-// an activity tick when running, a no-op in transit (the admission or
-// park hook re-arms it).
-func (t *scaleTenant) fire() {
-	f := t.f
-	if t.sleeping {
-		t.sleeping = false
-		if err := f.d.Unpark(t.name); err != nil {
-			panic("scale: unpark " + t.name + ": " + err.Error())
-		}
-		return
-	}
-	if t.job.State() != sched.Running {
-		return
-	}
-	t.ticks++
-	f.ticks++
-	f.d.Touch(t.name)
-	if t.ticks%8 == 0 {
-		f.bus.Publish(&notify.Msg{Topic: "activity", From: t.name, Scope: t.name})
-	}
-	if t.hog {
-		if t.ticks >= t.owed {
-			t.finish()
-			return
-		}
-	} else {
-		t.burstTicks++
-		if t.burstTicks >= t.burstLen {
-			t.burstTicks = 0
-			t.cycle++
-			if t.cycle >= t.cycles {
-				t.finish()
-				return
-			}
-			t.sleeping = true
-			if err := f.d.Park(t.name); err != nil {
-				panic("scale: park " + t.name + ": " + err.Error())
-			}
-			return
-		}
-	}
-	t.timer.Reset(t.interval)
-}
-
-func (t *scaleTenant) finish() {
-	t.timer.Stop()
-	for _, cancel := range t.cancels {
-		cancel()
-	}
-	if err := t.f.d.Finish(t.name); err != nil {
-		panic("scale: finish " + t.name + ": " + err.Error())
-	}
-}
-
-// digest folds the run's simulation-domain outcome into a hex FNV-64a.
-func (f *scaleFleet) digest() string {
-	h := fnv.New64a()
-	w := func(vs ...int64) {
-		var b [8]byte
-		for _, v := range vs {
-			binary.LittleEndian.PutUint64(b[:], uint64(v))
-			h.Write(b[:])
-		}
-	}
-	w(int64(f.s.Now()), int64(f.s.Fired()),
-		int64(f.d.Admissions), int64(f.d.Preemptions), int64(f.d.GangAdmissions),
-		f.d.PreemptedBytes, int64(f.d.MeanQueueWait()), f.ticks,
-		int64(f.bus.Published), int64(f.bus.Delivered))
-	for _, t := range f.tenants {
-		w(int64(t.job.State()), int64(t.job.Admissions()), int64(t.job.Preemptions()),
-			int64(t.ticks), int64(t.deliveries), int64(t.job.QueueWait()))
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// runScaleFleet instantiates the fleet recipe at n tenants and runs it
-// to completion or the horizon.
-func runScaleFleet(seed int64, n int) ScaleRow {
-	pool := scalePool(n)
-	s := sim.New(seed)
-	d := sched.New(s, pool, sched.IdleFirst)
-	d.MinResidency = 5 * sim.Second
-	d.Instrument = true
-	f := &scaleFleet{s: s, d: d, bus: notify.NewBus(s)}
-
-	// Every 50th slot submits a co-scheduled gang of four instead of a
-	// single tenant, so gang admission stays on the measured path.
+// scaleRow runs the federation fleet at n tenants on one facility —
+// pool sized by federation's clamp(n/4, 4, 256) default — with the
+// scheduler's decision work wall-clocked, and reads the row off the
+// facility's exported state.
+func scaleRow(seed int64, n int) ScaleRow {
 	start := time.Now()
-	i := 0
-	for i < n {
-		if i%50 == 0 && i+4 <= n {
-			var jobs []*sched.Job
-			for k := 0; k < 4; k++ {
-				jobs = append(jobs, f.newTenant(i+k).job)
-			}
-			if err := d.SubmitGang(jobs); err != nil {
-				panic("scale: gang: " + err.Error())
-			}
-			i += 4
-			continue
-		}
-		if err := d.Submit(f.newTenant(i).job); err != nil {
-			panic("scale: submit: " + err.Error())
-		}
-		i++
-	}
-	for s.Now() < scaleHorizon && !d.AllDone() {
-		s.RunFor(5 * sim.Second)
-	}
+	fed := federation.New(federation.Config{Facilities: 1, Tenants: n, Seed: seed})
+	fac := fed.Facilities[0]
+	d := fac.Sched
+	// Placement admits the first pool-full inside New, untimed; every
+	// decision the run itself makes is wall-clocked.
+	d.Instrument = true
+	r := fed.Run()
 	wall := time.Since(start)
 
 	row := ScaleRow{
-		Tenants: n, Pool: pool,
-		Oversub:        float64(n) / float64(pool),
-		SimS:           s.Now().Seconds(),
-		WallMS:         float64(wall.Nanoseconds()) / 1e6,
-		Events:         s.Fired(),
-		Ticks:          f.ticks,
-		Published:      f.bus.Published,
-		Delivered:      f.bus.Delivered,
-		Admissions:     d.Admissions,
-		Preemptions:    d.Preemptions,
-		GangAdmissions: d.GangAdmissions,
-		Decisions:      d.Admissions + d.Preemptions,
-		MeanWaitS:      d.MeanQueueWait().Seconds(),
-		Utilization:    d.Utilization(),
-		Digest:         f.digest(),
-	}
-	for _, t := range f.tenants {
-		if t.job.State() == sched.Done {
-			row.Completed++
-		}
+		Tenants: n, Pool: d.Capacity,
+		Oversub:     float64(n) / float64(d.Capacity),
+		Completed:   r.Completed,
+		SimS:        r.SimS,
+		WallMS:      float64(wall.Nanoseconds()) / 1e6,
+		Events:      r.Events,
+		Ticks:       r.Ticks,
+		Published:   fac.Bus.Published,
+		Delivered:   fac.Bus.Delivered,
+		Admissions:  d.Admissions,
+		Preemptions: d.Preemptions,
+		Decisions:   d.Admissions + d.Preemptions,
+		MeanWaitS:   d.MeanQueueWait().Seconds(),
+		Utilization: d.Utilization(),
+		Digest:      r.Digest,
 	}
 	if row.Decisions > 0 {
 		row.MeanDecisionUS = float64(d.DecisionNanos) / 1e3 / float64(row.Decisions)
@@ -335,15 +102,15 @@ func runScaleFleet(seed int64, n int) ScaleRow {
 	return row
 }
 
-// Scale runs the fleet recipe at each size and reports the tenant
-// count vs throughput / decision-cost trajectory.
+// Scale runs the fleet at each size and reports the tenant count vs
+// throughput / decision-cost trajectory.
 func Scale(seed int64, sizes []int) *ScaleResult {
 	if len(sizes) == 0 {
 		sizes = []int{16, 128, 1000, 10000}
 	}
 	r := &ScaleResult{Seed: seed}
 	for _, n := range sizes {
-		r.Rows = append(r.Rows, runScaleFleet(seed, n))
+		r.Rows = append(r.Rows, scaleRow(seed, n))
 	}
 	return r
 }
@@ -361,6 +128,6 @@ func (r *ScaleResult) Render() string {
 			fmt.Sprintf("%.2f", row.MeanDecisionUS), fmt.Sprintf("%.1f", row.MeanWaitS),
 			fmt.Sprintf("%.0f", row.Utilization*100), row.Digest)
 	}
-	s := fmt.Sprintf("seed %d; pool = clamp(tenants/4, 4, 256); 80%% bursty / 20%% hog tenants, a 4-gang every 50th slot\n", r.Seed)
+	s := fmt.Sprintf("seed %d; one-facility federation fleet; pool = clamp(tenants/4, 4, 256); 80%% bursty / 20%% hog tenants\n", r.Seed)
 	return s + t.String()
 }

@@ -2,14 +2,15 @@ package evalrun
 
 import (
 	"testing"
+
+	"emucheck/internal/federation"
 )
 
-// TestScaleSmallFleetCompletes sanity-checks the fleet recipe at the
-// smallest table size: every tenant finishes within the horizon, the
-// scheduler made decisions, gangs were co-scheduled, and the scoped
-// bus carried traffic.
+// TestScaleSmallFleetCompletes sanity-checks the fleet at the smallest
+// table size: every tenant finishes within the horizon, the scheduler
+// made decisions, and the scoped bus carried traffic.
 func TestScaleSmallFleetCompletes(t *testing.T) {
-	row := runScaleFleet(1, 16)
+	row := Scale(1, []int{16}).Rows[0]
 	if row.Completed != row.Tenants {
 		t.Fatalf("only %d/%d tenants completed by the horizon (sim %.0f s)",
 			row.Completed, row.Tenants, row.SimS)
@@ -17,9 +18,6 @@ func TestScaleSmallFleetCompletes(t *testing.T) {
 	if row.Decisions <= 0 || row.Admissions < row.Tenants {
 		t.Fatalf("scheduler made %d decisions, %d admissions for %d tenants",
 			row.Decisions, row.Admissions, row.Tenants)
-	}
-	if row.GangAdmissions < 1 {
-		t.Fatalf("no gang admissions in a fleet with a 4-gang: %+v", row)
 	}
 	if row.Published == 0 || row.Delivered != 2*row.Published {
 		t.Fatalf("scoped fan-out wrong: %d published, %d delivered (want 2 per publish)",
@@ -33,7 +31,7 @@ func TestScaleSmallFleetCompletes(t *testing.T) {
 // TestScaleMidFleetPreempts checks the 128-tenant size exercises the
 // involuntary path: hogs must be preempted on an oversubscribed pool.
 func TestScaleMidFleetPreempts(t *testing.T) {
-	row := runScaleFleet(1, 128)
+	row := Scale(1, []int{128}).Rows[0]
 	if row.Preemptions == 0 {
 		t.Fatalf("no preemptions at %gx oversubscription: %+v", row.Oversub, row)
 	}
@@ -44,11 +42,12 @@ func TestScaleMidFleetPreempts(t *testing.T) {
 
 // TestScaleDeterministicAt1k is the at-scale determinism guard: the
 // same seed must drive the 1000-tenant fleet — queue churn, victim
-// heaps, scoped fan-out, timer reuse and all — to a byte-identical
-// simulation-domain digest twice. It runs under -race in CI.
+// heaps, scoped fan-out, chain restores, timer reuse and all — to a
+// byte-identical simulation-domain digest twice. It runs under -race
+// in CI.
 func TestScaleDeterministicAt1k(t *testing.T) {
-	a := runScaleFleet(7, 1000)
-	b := runScaleFleet(7, 1000)
+	a := Scale(7, []int{1000}).Rows[0]
+	b := Scale(7, []int{1000}).Rows[0]
 	if a.Digest != b.Digest {
 		t.Fatalf("same-seed 1k-tenant runs diverged: %s vs %s", a.Digest, b.Digest)
 	}
@@ -57,5 +56,23 @@ func TestScaleDeterministicAt1k(t *testing.T) {
 	}
 	if a.Completed == 0 {
 		t.Fatal("1k fleet made no progress")
+	}
+}
+
+// TestScaleIsOneFacilityFederation pins the scale table to the
+// federation fleet: each row is the one-facility federation run, digest
+// for digest, and the 1k row matches the digest committed in
+// BENCH_federation.json.
+func TestScaleIsOneFacilityFederation(t *testing.T) {
+	for _, n := range []int{16, 128} {
+		row := Scale(1, []int{n}).Rows[0]
+		want := federation.Run(federation.Config{Facilities: 1, Tenants: n, Seed: 1}).Digest
+		if row.Digest != want {
+			t.Fatalf("scale row at %d tenants has digest %s, one-facility federation %s", n, row.Digest, want)
+		}
+	}
+	const want1k = "e39e44ba02450123"
+	if got := Scale(1, []int{1000}).Rows[0].Digest; got != want1k {
+		t.Fatalf("1k scale digest %s, want the committed %s", got, want1k)
 	}
 }

@@ -98,11 +98,18 @@ func (fac *Facility) popSleeper() *tenant {
 	return t
 }
 
-// tenant is one synthetic experiment in the federated fleet — the
-// scale-fleet recipe (80% bursty / 20% hog, all parameters arithmetic
-// in the global id) extended with a content-addressed checkpoint
-// chain in the shared pool and the ability to migrate between
-// facilities while parked.
+// tenant is one synthetic experiment in the federated fleet, and the
+// repo's only synthetic fleet recipe: the scale table runs it on one
+// facility. Two species, mixed 4:1:
+//
+//   - bursty (80%): works a ~3 s burst of 100 ms activity ticks, then
+//     voluntarily parks and sleeps ~5-7 s, for a few cycles — the
+//     paper's mostly-idle tenant, exercising park/unpark churn.
+//   - hog (20%): ticks until its owed work is done, never yielding —
+//     the tenant preemption exists for.
+//
+// Each tenant carries a content-addressed checkpoint chain in the
+// shared pool, and can migrate between facilities while parked.
 type tenant struct {
 	fed  *Federation
 	fac  *Facility // current home; reassigned only at migration delivery
@@ -161,12 +168,11 @@ func chainAddr(id, k int) storage.Addr {
 // delta instead of deepening the replay.
 const maxChainDepth = 8
 
-// newTenant creates tenant id homed at fac and wires its job. Unlike
-// the scale recipe's seed-invariant fleet, every per-tenant parameter
-// is a Mix64 draw over (seed, id), so the seed genuinely reshapes the
-// workload — without consuming any facility's RNG stream, which only
-// bus delivery jitter draws from. Hooks resolve t.fac at call time,
-// so one closure set survives migration.
+// newTenant creates tenant id homed at fac and wires its job. Every
+// per-tenant parameter is a Mix64 draw over (seed, id), so the seed
+// reshapes the workload without consuming any facility's RNG stream,
+// which only bus delivery jitter draws from. Hooks resolve t.fac at
+// call time, so one closure set survives migration.
 func (fed *Federation) newTenant(id int, fac *Facility) *tenant {
 	draw := func(axis, n int64) int64 {
 		return int64(sim.Mix64(fed.cfg.Seed, int64(id), axis) % uint64(n))

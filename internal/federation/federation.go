@@ -54,8 +54,8 @@ type Config struct {
 	// reference); Tenants the fleet size across the federation.
 	Facilities int
 	Tenants    int
-	// PoolPer is each facility's hardware pool; 0 sizes it like the
-	// scale benchmark: clamp(perFacilityTenants/4, 4, 256).
+	// PoolPer is each facility's hardware pool; 0 sizes it
+	// clamp(perFacilityTenants/4, 4, 256), the scale table's pool.
 	PoolPer int
 	Seed    int64
 	// Workers is the facility-worker pool width: 1 (default) is the

@@ -16,6 +16,11 @@
 // every pending inside-activity, recording either remaining virtual time
 // (timers) or remaining CPU work (compute bursts). Disengaging re-arms
 // them, so from inside the firewall the checkpoint never happened.
+//
+// Engage, Disengage and Replan walk pending handles in registration
+// order. The re-arm order on thaw sets the simulator's tie-break
+// sequence, so walking in any other order would reorder guest timers
+// that share a deadline — a checkpoint the guest could observe.
 package firewall
 
 import (
@@ -71,7 +76,7 @@ func (c Class) String() string {
 	}
 }
 
-type kind int
+type kind uint8
 
 const (
 	kindTimer kind = iota
@@ -82,15 +87,15 @@ const (
 type Handle struct {
 	fw    *Firewall
 	class Class
-	name  string
-	k     kind
 	fn    func()
 
-	// tm is the handle's reusable underlying event: the handle owns it
-	// exclusively (sim.Timer's single-owner contract), so one Event
-	// serves every arm across engage/disengage/replan cycles and the
-	// handle+event pair is a single allocation.
+	// tm is the handle's reusable underlying event (it also carries the
+	// debug name): the handle owns it exclusively (sim.Timer's
+	// single-owner contract), so one Event serves every arm across
+	// engage/disengage/replan cycles and the handle+event pair is a
+	// single allocation.
 	tm   sim.Timer
+	k    kind
 	done bool
 
 	// kindTimer: absolute due time in the underlying simulator, valid
@@ -101,6 +106,10 @@ type Handle struct {
 	cpu       *node.CPU
 	workLeft  sim.Time
 	startedAt sim.Time
+
+	// prev/next link the handle into its firewall's pending list, in
+	// registration order, until it fires or is cancelled.
+	prev, next *Handle
 }
 
 // Class reports the handle's activity class.
@@ -115,7 +124,10 @@ type Firewall struct {
 	clock *vclock.Clock
 
 	engaged bool
-	pending map[*Handle]struct{}
+	// head/tail bound the intrusive list of suspended-or-armed
+	// handles in registration order; pending is its length.
+	head, tail *Handle
+	pending    int
 
 	// InsideFired counts inside-class callbacks that fired while the
 	// firewall was engaged. Transparency demands this stays zero; tests
@@ -130,7 +142,7 @@ type Firewall struct {
 
 // New creates a firewall around the given guest clock.
 func New(s *sim.Simulator, clock *vclock.Clock) *Firewall {
-	return &Firewall{s: s, clock: clock, pending: make(map[*Handle]struct{})}
+	return &Firewall{s: s, clock: clock}
 }
 
 // Clock exposes the guarded clock.
@@ -140,7 +152,35 @@ func (f *Firewall) Clock() *vclock.Clock { return f.clock }
 func (f *Firewall) Engaged() bool { return f.engaged }
 
 // Pending reports the number of suspended-or-armed handles.
-func (f *Firewall) Pending() int { return len(f.pending) }
+func (f *Firewall) Pending() int { return f.pending }
+
+// link appends h to the pending list.
+func (f *Firewall) link(h *Handle) {
+	h.prev = f.tail
+	if f.tail != nil {
+		f.tail.next = h
+	} else {
+		f.head = h
+	}
+	f.tail = h
+	f.pending++
+}
+
+// unlink removes h from the pending list.
+func (f *Firewall) unlink(h *Handle) {
+	if h.prev != nil {
+		h.prev.next = h.next
+	} else {
+		f.head = h.next
+	}
+	if h.next != nil {
+		h.next.prev = h.prev
+	} else {
+		f.tail = h.prev
+	}
+	h.prev, h.next = nil, nil
+	f.pending--
+}
 
 // After schedules fn to run after d of guest virtual time. The
 // underlying event is armed at the real-time equivalent (scaled by the
@@ -150,9 +190,9 @@ func (f *Firewall) After(class Class, d sim.Time, name string, fn func()) *Handl
 	if d < 0 {
 		d = 0
 	}
-	h := &Handle{fw: f, class: class, name: name, k: kindTimer, fn: fn}
+	h := &Handle{fw: f, class: class, k: kindTimer, fn: fn}
 	f.s.InitTimer(&h.tm, name, h.fire)
-	f.pending[h] = struct{}{}
+	f.link(h)
 	if f.engaged && class.Inside() {
 		// Scheduled from outside-code while frozen (e.g. a device
 		// handler queuing guest work): park it with full delay.
@@ -170,9 +210,9 @@ func (f *Firewall) Compute(class Class, cpu *node.CPU, work sim.Time, name strin
 	if work < 0 {
 		work = 0
 	}
-	h := &Handle{fw: f, class: class, name: name, k: kindCompute, fn: fn, cpu: cpu, workLeft: work}
+	h := &Handle{fw: f, class: class, k: kindCompute, fn: fn, cpu: cpu, workLeft: work}
 	f.s.InitTimer(&h.tm, name, h.fire)
-	f.pending[h] = struct{}{}
+	f.link(h)
 	if f.engaged && class.Inside() {
 		return h
 	}
@@ -205,7 +245,7 @@ func (h *Handle) fire() {
 		}
 	}
 	h.done = true
-	delete(h.fw.pending, h)
+	h.fw.unlink(h)
 	h.fn()
 }
 
@@ -216,7 +256,7 @@ func (f *Firewall) Cancel(h *Handle) {
 	}
 	h.tm.Stop()
 	h.done = true
-	delete(f.pending, h)
+	f.unlink(h)
 }
 
 // Engage freezes the clock and suspends every pending inside-handle.
@@ -229,7 +269,7 @@ func (f *Firewall) Engage(engageLeak sim.Time) {
 	f.Engages++
 	f.clock.Freeze(engageLeak)
 	now := f.s.Now()
-	for h := range f.pending {
+	for h := f.head; h != nil; h = h.next {
 		if !h.class.Inside() || !h.tm.Pending() {
 			continue
 		}
@@ -259,7 +299,7 @@ func (f *Firewall) Disengage(disengageLeak sim.Time) {
 	}
 	f.engaged = false
 	f.clock.Thaw(disengageLeak)
-	for h := range f.pending {
+	for h := f.head; h != nil; h = h.next {
 		if !h.class.Inside() || h.tm.Pending() {
 			continue
 		}
@@ -281,7 +321,7 @@ func (f *Firewall) Replan() {
 		return // everything inside is parked already
 	}
 	now := f.s.Now()
-	for h := range f.pending {
+	for h := f.head; h != nil; h = h.next {
 		if h.k != kindCompute {
 			continue
 		}
@@ -300,7 +340,7 @@ func (f *Firewall) Replan() {
 // Describe returns a debug summary of pending activity by class.
 func (f *Firewall) Describe() string {
 	counts := map[Class]int{}
-	for h := range f.pending {
+	for h := f.head; h != nil; h = h.next {
 		counts[h.class]++
 	}
 	return fmt.Sprintf("firewall engaged=%v pending=%v", f.engaged, counts)

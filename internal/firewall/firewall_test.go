@@ -371,3 +371,28 @@ func TestReplanWhileEngagedIsNoop(t *testing.T) {
 		t.Fatal("compute lost")
 	}
 }
+
+// TestThawKeepsSameDeadlineOrder: inside timers that share a deadline
+// fire in registration order whether or not a checkpoint froze them
+// mid-flight. Disengage's re-arm order sets the simulator's tie-break,
+// so a thaw that walked handles in any other order would let the guest
+// observe the checkpoint as reordered events.
+func TestThawKeepsSameDeadlineOrder(t *testing.T) {
+	const want = "01234567"
+	for run := 0; run < 50; run++ {
+		s, _, f := setup(int64(run))
+		var got []byte
+		for i := 0; i < len(want); i++ {
+			c := want[i]
+			f.After(TimerJob, 10*sim.Millisecond, "t", func() { got = append(got, c) })
+		}
+		s.RunFor(4 * sim.Millisecond)
+		f.Engage(0)
+		s.RunFor(30 * sim.Millisecond)
+		f.Disengage(0)
+		s.Run()
+		if string(got) != want {
+			t.Fatalf("run %d: same-deadline timers fired in order %q after a thaw, want %q", run, got, want)
+		}
+	}
+}

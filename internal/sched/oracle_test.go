@@ -441,7 +441,7 @@ func (f *oracleFleet) summary() string {
 	// The oracle does not integrate utilization; print the decision
 	// ledgers and per-job outcomes (the real side's util is implied by
 	// identical decision sequences and is additionally covered by the
-	// scale digest tests).
+	// federation and scale digest tests).
 	fmt.Fprintf(&b, "adm=%d preempt=%d gangs=%d bytes=%d wait=%d\n",
 		f.d.admissionsN, f.d.preemptionsN, f.d.gangAdmissions, f.d.preemptedBytes, wait)
 	for _, j := range f.d.jobs {
@@ -474,9 +474,12 @@ type eqSpec struct {
 	costBase    int64
 }
 
-// eqRunner is the tenant state machine (mirroring the evalrun scale
-// fleet): burst of activity ticks, then a voluntary park and an idle
-// sleep, across cycles; hogs tick until their owed work is done.
+// eqRunner is the tenant state machine (the federation fleet's
+// bursty/hog recipe, reduced to what the scheduler sees): burst of
+// activity ticks, then a voluntary park and an idle sleep, across
+// cycles; hogs tick until their owed work is done. Unlike the
+// federation fleet it also submits gangs, so the oracle covers gang
+// admission.
 type eqRunner struct {
 	api   fleetAPI
 	s     *sim.Simulator
