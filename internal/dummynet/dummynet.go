@@ -25,11 +25,18 @@ import (
 // DefaultQueueSlots matches Dummynet's default 50-slot router queue.
 const DefaultQueueSlots = 50
 
-// inflight is a packet in the delay line, due to be emitted at emit.
+// inflight is a packet in the delay line, due to be emitted at emit
+// by its own timer. Entries are pooled per pipe: an emitted entry goes
+// back to the pipe's free list with its timer, so a packet crossing the
+// delay line allocates nothing.
 type inflight struct {
+	p    *Pipe
 	pkt  *simnet.Packet
 	emit sim.Time // absolute, in real simulation time
+	tm   sim.Timer
 }
+
+func (fl *inflight) fire() { fl.p.emit(fl) }
 
 // Pipe is one shaping stage: bandwidth + delay + loss + bounded queue.
 type Pipe struct {
@@ -44,10 +51,10 @@ type Pipe struct {
 	Slots     int     // router queue capacity in packets
 
 	queue   []*simnet.Packet // router queue; head is transmitting next
-	headTx  *sim.Event       // pending bandwidth-stage completion
+	headTx  sim.Timer        // bandwidth-stage completion of the head
 	headEnd sim.Time         // when the head packet finishes transmitting
-	line    []inflight       // delay line
-	lineEvs []*sim.Event     // emission events, parallel to line
+	line    []*inflight      // delay line, in entry order
+	free    []*inflight      // emitted entries for reuse
 
 	frozen   bool
 	frozeAt  sim.Time
@@ -62,10 +69,12 @@ type Pipe struct {
 
 // NewPipe creates a shaping pipe feeding out.
 func NewPipe(s *sim.Simulator, name string, bw simnet.Bitrate, delay sim.Time, out simnet.Port) *Pipe {
-	return &Pipe{
+	p := &Pipe{
 		name: name, sim: s, out: out,
 		Bandwidth: bw, Delay: delay, Slots: DefaultQueueSlots,
 	}
+	s.InitTimer(&p.headTx, name+".tx", p.finishHead)
+	return p
 }
 
 // Name reports the pipe's configured name.
@@ -116,35 +125,59 @@ func (p *Pipe) startHead() {
 	}
 	tx := p.Bandwidth.TxTime(p.queue[0].Size)
 	p.headEnd = p.sim.Now() + tx
-	p.headTx = p.sim.At(p.headEnd, p.name+".tx", p.finishHead)
+	p.headTx.Schedule(p.headEnd)
 }
 
 // finishHead moves the head packet into the delay line.
 func (p *Pipe) finishHead() {
 	pkt := p.queue[0]
-	p.queue = p.queue[1:]
-	p.headTx = nil
+	n := copy(p.queue, p.queue[1:])
+	p.queue[n] = nil
+	p.queue = p.queue[:n]
 	p.enterDelayLine(pkt, p.Delay)
 	p.startHead()
 }
 
 func (p *Pipe) enterDelayLine(pkt *simnet.Packet, remaining sim.Time) {
-	emit := p.sim.Now() + remaining
-	fl := inflight{pkt: pkt, emit: emit}
-	p.line = append(p.line, fl)
-	ev := p.sim.At(emit, p.name+".emit", func() { p.emit(pkt) })
-	p.lineEvs = append(p.lineEvs, ev)
+	fl := p.entry(pkt, p.sim.Now()+remaining)
+	fl.tm.Schedule(fl.emit)
 }
 
-func (p *Pipe) emit(pkt *simnet.Packet) {
+// entry appends a delay-line entry for pkt, due at emit, reusing an
+// emitted one when the free list has it. The entry is not armed.
+func (p *Pipe) entry(pkt *simnet.Packet, emit sim.Time) *inflight {
+	var fl *inflight
+	if n := len(p.free); n > 0 {
+		fl = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+	} else {
+		fl = &inflight{p: p}
+		p.sim.InitTimer(&fl.tm, p.name+".emit", fl.fire)
+	}
+	fl.pkt, fl.emit = pkt, emit
+	p.line = append(p.line, fl)
+	return fl
+}
+
+// release returns an unarmed entry to the free list.
+func (p *Pipe) release(fl *inflight) {
+	fl.pkt = nil
+	p.free = append(p.free, fl)
+}
+
+func (p *Pipe) emit(fl *inflight) {
 	// Remove from the delay line bookkeeping.
-	for i := range p.line {
-		if p.line[i].pkt == pkt {
-			p.line = append(p.line[:i], p.line[i+1:]...)
-			p.lineEvs = append(p.lineEvs[:i], p.lineEvs[i+1:]...)
+	for i, x := range p.line {
+		if x == fl {
+			n := copy(p.line[i:], p.line[i+1:])
+			p.line[i+n] = nil
+			p.line = p.line[:i+n]
 			break
 		}
 	}
+	pkt := fl.pkt
+	p.release(fl)
 	p.Emitted++
 	if p.out != nil {
 		p.out.Accept(pkt)
@@ -160,17 +193,15 @@ func (p *Pipe) Freeze() {
 	}
 	p.frozen = true
 	p.frozeAt = p.sim.Now()
-	if p.headTx != nil {
+	if p.headTx.Pending() {
 		p.headLeft = p.headEnd - p.sim.Now()
-		p.sim.Cancel(p.headTx)
-		p.headTx = nil
+		p.headTx.Stop()
 	} else {
 		p.headLeft = -1
 	}
-	for _, ev := range p.lineEvs {
-		p.sim.Cancel(ev)
+	for _, fl := range p.line {
+		fl.tm.Stop()
 	}
-	p.lineEvs = p.lineEvs[:0]
 }
 
 // Frozen reports whether the pipe is suspended.
@@ -188,23 +219,18 @@ func (p *Pipe) Thaw() {
 	p.frozen = false
 	now := p.sim.Now()
 	// Re-arm delay line with remaining delays.
-	line := p.line
-	p.line = nil
-	p.lineEvs = nil
-	for _, fl := range line {
+	for _, fl := range p.line {
 		remaining := fl.emit - p.frozeAt
 		if remaining < 0 {
 			remaining = 0
 		}
-		fl := fl
-		p.line = append(p.line, inflight{pkt: fl.pkt, emit: now + remaining})
-		ev := p.sim.At(now+remaining, p.name+".emit", func() { p.emit(fl.pkt) })
-		p.lineEvs = append(p.lineEvs, ev)
+		fl.emit = now + remaining
+		fl.tm.Schedule(fl.emit)
 	}
 	// Re-arm the bandwidth stage.
 	if p.headLeft >= 0 && len(p.queue) > 0 {
 		p.headEnd = now + p.headLeft
-		p.headTx = p.sim.At(p.headEnd, p.name+".tx", p.finishHead)
+		p.headTx.Schedule(p.headEnd)
 	} else if len(p.queue) > 0 {
 		p.startHead()
 	}
@@ -291,11 +317,14 @@ func (p *Pipe) Restore(st *PipeState) {
 	for _, q := range st.Queue {
 		p.queue = append(p.queue, q.Packet.Clone())
 	}
-	p.line = nil
-	p.lineEvs = nil
+	for _, fl := range p.line {
+		p.release(fl)
+	}
+	clear(p.line)
+	p.line = p.line[:0]
 	p.frozeAt = p.sim.Now()
 	for _, d := range st.DelayLine {
-		p.line = append(p.line, inflight{pkt: d.Packet.Clone(), emit: p.frozeAt + d.RemainingDelay})
+		p.entry(d.Packet.Clone(), p.frozeAt+d.RemainingDelay)
 	}
 	p.headLeft = st.HeadTxLeft
 }

@@ -150,3 +150,68 @@ func TestPropertySerializeRoundTripStable(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCaptureRoundTripInPlace runs the delay-node checkpoint on one
+// pipe: Freeze → Serialize → Restore → Thaw with packets in the router
+// queue, in transmission and in the delay line. Every packet is emitted
+// exactly once, in its original order, exactly as late as the frozen
+// interval; the restore recycles the delay-line entries without
+// leaving an armed timer behind, and no backing array keeps a pointer
+// to a packet that has left the pipe.
+func TestCaptureRoundTripInPlace(t *testing.T) {
+	s := sim.New(1)
+	k := &sink{s: s}
+	base := s.Pending()
+	p := NewPipe(s, "p", 10*simnet.Mbps, 30*sim.Millisecond, k)
+	for i := 1; i <= 5; i++ {
+		p.Accept(&simnet.Packet{ID: uint64(i), Size: 1250}) // 1 ms tx each
+	}
+	s.RunFor(2500 * sim.Microsecond) // two in the delay line, one transmitting, two queued
+	p.Freeze()
+	if s.Pending() != base {
+		t.Fatalf("frozen pipe leaves %d events queued", s.Pending()-base)
+	}
+	st, err := p.Serialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.DelayLine) != 2 || len(st.Queue) != 3 {
+		t.Fatalf("captured line %d, queue %d; want 2, 3", len(st.DelayLine), len(st.Queue))
+	}
+	const frozen = 100 * sim.Millisecond
+	s.RunFor(frozen)
+	p.Restore(st)
+	if s.Pending() != base || p.InFlight() != 2 || p.QueueLen() != 3 {
+		t.Fatalf("restore: %d events queued, line %d, queue %d", s.Pending()-base, p.InFlight(), p.QueueLen())
+	}
+	p.Thaw()
+	s.Run()
+	if len(k.pkts) != 5 {
+		t.Fatalf("emitted %d packets, want 5", len(k.pkts))
+	}
+	for i, pkt := range k.pkts {
+		// Unfrozen, packet i+1 would leave at 30 ms + (i+1) ms.
+		want := 30*sim.Millisecond + sim.Time(i+1)*sim.Millisecond + frozen
+		if pkt.ID != uint64(i+1) || k.times[i] != want {
+			t.Fatalf("emission %d: packet %d at %v, want packet %d at %v", i, pkt.ID, k.times[i], i+1, want)
+		}
+	}
+	if s.Pending() != base || p.Emitted != 5 {
+		t.Fatalf("after drain: %d events queued, %d emitted", s.Pending()-base, p.Emitted)
+	}
+	for _, q := range p.queue[:cap(p.queue)] {
+		if q != nil {
+			t.Fatal("router queue's backing array still holds a sent packet")
+		}
+	}
+	for _, fl := range p.line[:cap(p.line)] {
+		if fl != nil {
+			t.Fatal("delay line's backing array still holds an emitted entry")
+		}
+	}
+	for _, fl := range p.free {
+		if fl.pkt != nil || fl.tm.Pending() {
+			t.Fatal("free delay-line entry holds a packet or an armed timer")
+		}
+	}
+}

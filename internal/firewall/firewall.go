@@ -33,7 +33,7 @@ import (
 
 // Class identifies which kind of guest activity a scheduled callback
 // belongs to, following the taxonomy of §4.1.
-type Class int
+type Class uint8
 
 // Activity classes. The first five live inside the firewall; the last
 // three run outside during a checkpoint.
@@ -85,18 +85,26 @@ const (
 
 // Handle is one scheduled guest activity.
 type Handle struct {
-	fw    *Firewall
-	class Class
-	fn    func()
+	fw *Firewall
+	fn func()
+	// fireFn caches the h.fire method value: binding it allocates, so a
+	// handle binds it once and every reuse of a pooled handle re-arms
+	// its timer with the cached value.
+	fireFn func()
 
 	// tm is the handle's reusable underlying event (it also carries the
 	// debug name): the handle owns it exclusively (sim.Timer's
 	// single-owner contract), so one Event serves every arm across
 	// engage/disengage/replan cycles and the handle+event pair is a
 	// single allocation.
-	tm   sim.Timer
-	k    kind
-	done bool
+	tm    sim.Timer
+	class Class
+	k     kind
+	done  bool
+	// pooled marks a handle scheduled through DoAfter/DoCompute: no
+	// pointer to it escaped, so it returns to the firewall's free list
+	// the moment it fires.
+	pooled bool
 
 	// kindTimer: absolute due time in the underlying simulator, valid
 	// while armed; remaining is captured on engage.
@@ -128,6 +136,10 @@ type Firewall struct {
 	// handles in registration order; pending is its length.
 	head, tail *Handle
 	pending    int
+	// free holds fired pooled handles for reuse by DoAfter/DoCompute;
+	// it is bounded by the peak number of pooled handles pending at
+	// once.
+	free []*Handle
 
 	// InsideFired counts inside-class callbacks that fired while the
 	// firewall was engaged. Transparency demands this stays zero; tests
@@ -187,12 +199,22 @@ func (f *Firewall) unlink(h *Handle) {
 // clock's dilation factor); engage/disengage moves it so the *virtual*
 // delay is preserved exactly.
 func (f *Firewall) After(class Class, d sim.Time, name string, fn func()) *Handle {
+	return f.after(class, d, name, fn, false)
+}
+
+// DoAfter is After without a handle, mirroring sim.DoAt: the handle
+// comes from the firewall's free list and goes back to it when it
+// fires, so steady-state guest timers allocate nothing. Nothing can
+// cancel it; use After for anything that may need cancelling.
+func (f *Firewall) DoAfter(class Class, d sim.Time, name string, fn func()) {
+	f.after(class, d, name, fn, true)
+}
+
+func (f *Firewall) after(class Class, d sim.Time, name string, fn func(), pooled bool) *Handle {
 	if d < 0 {
 		d = 0
 	}
-	h := &Handle{fw: f, class: class, k: kindTimer, fn: fn}
-	f.s.InitTimer(&h.tm, name, h.fire)
-	f.link(h)
+	h := f.handle(class, kindTimer, name, fn, pooled)
 	if f.engaged && class.Inside() {
 		// Scheduled from outside-code while frozen (e.g. a device
 		// handler queuing guest work): park it with full delay.
@@ -207,16 +229,43 @@ func (f *Firewall) After(class Class, d sim.Time, name string, fn func()) *Handl
 // on cpu, accounting for dom0 contention. Engage captures remaining
 // work; disengage re-plans it.
 func (f *Firewall) Compute(class Class, cpu *node.CPU, work sim.Time, name string, fn func()) *Handle {
+	return f.compute(class, cpu, work, name, fn, false)
+}
+
+// DoCompute is Compute without a handle, pooled like DoAfter.
+func (f *Firewall) DoCompute(class Class, cpu *node.CPU, work sim.Time, name string, fn func()) {
+	f.compute(class, cpu, work, name, fn, true)
+}
+
+func (f *Firewall) compute(class Class, cpu *node.CPU, work sim.Time, name string, fn func(), pooled bool) *Handle {
 	if work < 0 {
 		work = 0
 	}
-	h := &Handle{fw: f, class: class, k: kindCompute, fn: fn, cpu: cpu, workLeft: work}
-	f.s.InitTimer(&h.tm, name, h.fire)
-	f.link(h)
+	h := f.handle(class, kindCompute, name, fn, pooled)
+	h.cpu, h.workLeft = cpu, work
 	if f.engaged && class.Inside() {
 		return h
 	}
 	h.armCompute()
+	return h
+}
+
+// handle returns an unarmed handle appended to the pending list: a
+// recycled one for pooled calls when the free list has one, otherwise a
+// fresh allocation.
+func (f *Firewall) handle(class Class, k kind, name string, fn func(), pooled bool) *Handle {
+	var h *Handle
+	if n := len(f.free); pooled && n > 0 {
+		h = f.free[n-1]
+		f.free[n-1] = nil
+		f.free = f.free[:n-1]
+	} else {
+		h = &Handle{fw: f}
+		h.fireFn = h.fire
+	}
+	h.class, h.k, h.fn, h.pooled = class, k, fn, pooled
+	f.s.InitTimer(&h.tm, name, h.fireFn)
+	f.link(h)
 	return h
 }
 
@@ -237,16 +286,26 @@ func (h *Handle) armCompute() {
 }
 
 func (h *Handle) fire() {
-	if h.fw.engaged {
+	f := h.fw
+	if f.engaged {
 		if h.class.Inside() {
-			h.fw.InsideFired++
+			f.InsideFired++
 		} else {
-			h.fw.OutsideFired++
+			f.OutsideFired++
 		}
 	}
 	h.done = true
-	h.fw.unlink(h)
-	h.fn()
+	f.unlink(h)
+	fn := h.fn
+	if h.pooled {
+		// Recycle before running fn, which may DoAfter a follow-up that
+		// reuses this very handle. Zeroing drops the callback and the
+		// CPU so the pool pins nothing, and leaves no class, remaining
+		// time or work for the next use to inherit.
+		*h = Handle{fw: f, fireFn: h.fireFn}
+		f.free = append(f.free, h)
+	}
+	fn()
 }
 
 // Cancel prevents the handle from firing.

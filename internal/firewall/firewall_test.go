@@ -372,7 +372,8 @@ func TestReplanWhileEngagedIsNoop(t *testing.T) {
 	}
 }
 
-// TestThawKeepsSameDeadlineOrder: inside timers that share a deadline
+// TestThawKeepsSameDeadlineOrder: inside timers, handle-returning and
+// pooled alike, that share a deadline
 // fire in registration order whether or not a checkpoint froze them
 // mid-flight. Disengage's re-arm order sets the simulator's tie-break,
 // so a thaw that walked handles in any other order would let the guest
@@ -384,7 +385,14 @@ func TestThawKeepsSameDeadlineOrder(t *testing.T) {
 		var got []byte
 		for i := 0; i < len(want); i++ {
 			c := want[i]
-			f.After(TimerJob, 10*sim.Millisecond, "t", func() { got = append(got, c) })
+			fn := func() { got = append(got, c) }
+			// Mix handle-returning and pooled timers: both share the
+			// pending list, so a thaw re-arms them in one order.
+			if i%2 == 0 {
+				f.After(TimerJob, 10*sim.Millisecond, "t", fn)
+			} else {
+				f.DoAfter(TimerJob, 10*sim.Millisecond, "t", fn)
+			}
 		}
 		s.RunFor(4 * sim.Millisecond)
 		f.Engage(0)
@@ -394,5 +402,84 @@ func TestThawKeepsSameDeadlineOrder(t *testing.T) {
 		if string(got) != want {
 			t.Fatalf("run %d: same-deadline timers fired in order %q after a thaw, want %q", run, got, want)
 		}
+	}
+}
+
+// TestPooledHandlesSurviveEngage: DoAfter/DoCompute handles caught by
+// Engage and re-armed by Disengage fire exactly once, at the same
+// instants as After/Compute handles, so they keep the same virtual
+// delay and CPU work left across the checkpoint.
+func TestPooledHandlesSurviveEngage(t *testing.T) {
+	run := func(pooled bool) (timerAt, timerVirt, computeAt sim.Time, fired int) {
+		s, c, f := setup(1)
+		cpu := node.NewCPU(s)
+		onTimer := func() { timerAt, timerVirt = s.Now(), c.SystemTime(); fired++ }
+		onCompute := func() { computeAt = s.Now(); fired++ }
+		if pooled {
+			f.DoAfter(TimerJob, 10*sim.Millisecond, "t", onTimer)
+			f.DoCompute(UserThread, cpu, 10*sim.Millisecond, "c", onCompute)
+		} else {
+			f.After(TimerJob, 10*sim.Millisecond, "t", onTimer)
+			f.Compute(UserThread, cpu, 10*sim.Millisecond, "c", onCompute)
+		}
+		s.RunFor(4 * sim.Millisecond)
+		f.Engage(0)
+		s.RunFor(30 * sim.Millisecond)
+		f.Disengage(0)
+		s.Run()
+		if f.InsideFired != 0 || f.Pending() != 0 {
+			t.Fatalf("pooled=%v: InsideFired=%d pending=%d", pooled, f.InsideFired, f.Pending())
+		}
+		return
+	}
+	at, virt, cat, n := run(true)
+	wat, wvirt, wcat, wn := run(false)
+	if n != 2 || wn != 2 {
+		t.Fatalf("fired %d pooled / %d plain callbacks, want 2 each", n, wn)
+	}
+	if at != wat || virt != wvirt || cat != wcat {
+		t.Fatalf("pooled timer at %v (virtual %v), compute at %v; plain at %v (%v), %v", at, virt, cat, wat, wvirt, wcat)
+	}
+	if virt != 10*sim.Millisecond || at != 40*sim.Millisecond || cat != 40*sim.Millisecond {
+		t.Fatalf("timer at %v (virtual %v), compute at %v; want 40ms (10ms), 40ms", at, virt, cat)
+	}
+}
+
+// TestRecycledHandleStartsClean: a pooled handle goes back to the free
+// list zeroed, and its next use inherits no class, CPU, remaining delay
+// or work from the last one.
+func TestRecycledHandleStartsClean(t *testing.T) {
+	s, _, f := setup(1)
+	cpu := node.NewCPU(s)
+	fired := 0
+	f.DoCompute(SoftIRQ, cpu, 5*sim.Millisecond, "c", func() { fired++ })
+	f.DoAfter(TimerJob, 8*sim.Millisecond, "t", func() { fired++ })
+	s.RunFor(2 * sim.Millisecond)
+	f.Engage(0) // records workLeft and remaining
+	f.Disengage(0)
+	s.Run()
+	if fired != 2 || len(f.free) != 2 {
+		t.Fatalf("fired %d, free list %d; want 2, 2", fired, len(f.free))
+	}
+	for _, h := range f.free {
+		if h.fn != nil || h.cpu != nil || h.class != 0 || h.remaining != 0 || h.workLeft != 0 || h.startedAt != 0 || h.pooled || h.done {
+			t.Fatalf("released handle keeps state: %+v", *h)
+		}
+		if h.fw != f || h.fireFn == nil {
+			t.Fatal("released handle lost its firewall or cached fire func")
+		}
+	}
+	reuse := f.free[len(f.free)-1]
+	f.DoAfter(TimerJob, sim.Millisecond, "again", func() { fired++ })
+	h := f.head
+	if h != reuse || len(f.free) != 1 {
+		t.Fatal("DoAfter did not reuse the most recently freed handle")
+	}
+	if h.class != TimerJob || h.k != kindTimer || h.cpu != nil || h.workLeft != 0 || h.remaining != 0 || !h.pooled {
+		t.Fatalf("reused handle inherited state: %+v", *h)
+	}
+	s.Run()
+	if fired != 3 || f.InsideFired != 0 || f.Pending() != 0 {
+		t.Fatalf("fired %d, InsideFired %d, pending %d", fired, f.InsideFired, f.Pending())
 	}
 }

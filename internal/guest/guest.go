@@ -186,10 +186,16 @@ type Kernel struct {
 
 	handlers map[string]func(from simnet.Addr, m *Message)
 
-	txq    []*simnet.Packet
-	txBusy bool
-	rxq    []*simnet.Packet
-	rxBusy bool
+	// txq/rxq hold packets waiting for their softirq; txCur/rxCur is
+	// the one in service, which the cached txDoneFn/rxDoneFn complete.
+	txq      []*simnet.Packet
+	txCur    *simnet.Packet
+	txBusy   bool
+	txDoneFn func()
+	rxq      []*simnet.Packet
+	rxCur    *simnet.Packet
+	rxBusy   bool
+	rxDoneFn func()
 
 	inflightIO int
 	ioWaiters  []func()
@@ -244,6 +250,8 @@ func New(m *node.Machine, p node.Params, cfg Config) *Kernel {
 	k.labels.nettx = m.Name + ".nettx"
 	k.labels.netrx = m.Name + ".netrx"
 	k.labels.bioDone = m.Name + ".bio-done"
+	k.txDoneFn = k.txDone
+	k.rxDoneFn = k.rxDone
 	m.ExpNIC.OnReceive(k.receive)
 	return k
 }
@@ -281,13 +289,15 @@ func (k *Kernel) Monotonic() sim.Time { return k.Clock.SystemTime() }
 // schedule_timeout semantics: the wakeup lands on the first timer tick
 // strictly after now+d (which is why a 10 ms sleep in a loop measures
 // 20 ms per iteration at HZ=100 — the paper's Fig. 4 baseline), plus a
-// small scheduling-latency jitter.
-func (k *Kernel) Usleep(d sim.Time, fn func()) *firewall.Handle {
+// small scheduling-latency jitter. The sleep cannot be cancelled (its
+// pooled firewall handle is recycled when it fires); AfterVirtual
+// returns a handle for timers that may be.
+func (k *Kernel) Usleep(d sim.Time, fn func()) {
 	now := k.Clock.SystemTime()
 	jiffy := k.Jiffy()
 	wake := ((now+d)/jiffy + 1) * jiffy
 	delay := wake - now + k.M.Sim.Normal(k.P.WakeupJitterMean, k.P.WakeupJitterStddev)
-	return k.FW.After(firewall.TimerJob, delay, k.labels.usleep, fn)
+	k.FW.DoAfter(firewall.TimerJob, delay, k.labels.usleep, fn)
 }
 
 // AfterVirtual arms a plain inside-firewall timer without tick rounding
@@ -333,13 +343,18 @@ func (k *Kernel) txPump() {
 		return
 	}
 	k.txBusy = true
-	pkt := k.txq[0]
-	k.txq = k.txq[1:]
-	k.FW.Compute(firewall.SoftIRQ, k.M.CPU, k.P.XenNetTxCost, k.labels.nettx, func() {
-		k.SentPackets++
-		k.M.ExpNIC.Send(pkt)
-		k.txPump()
-	})
+	k.txCur = k.txq[0]
+	k.txq = popFront(k.txq)
+	k.FW.DoCompute(firewall.SoftIRQ, k.M.CPU, k.P.XenNetTxCost, k.labels.nettx, k.txDoneFn)
+}
+
+// txDone ends the tx softirq: the packet in service goes to the NIC.
+func (k *Kernel) txDone() {
+	pkt := k.txCur
+	k.txCur = nil
+	k.SentPackets++
+	k.M.ExpNIC.Send(pkt)
+	k.txPump()
 }
 
 // receive is the NIC handler: charge rx CPU, then dispatch by port.
@@ -356,18 +371,33 @@ func (k *Kernel) rxPump() {
 		return
 	}
 	k.rxBusy = true
-	pkt := k.rxq[0]
-	k.rxq = k.rxq[1:]
-	k.FW.Compute(firewall.SoftIRQ, k.M.CPU, k.P.XenNetRxCost, k.labels.netrx, func() {
-		k.RcvdPackets++
-		k.Dirty.TouchBytes(int64(pkt.Size))
-		if m, ok := pkt.Payload.(*Message); ok {
-			if h, ok := k.handlers[m.Port]; ok {
-				h(pkt.Src, m)
-			}
+	k.rxCur = k.rxq[0]
+	k.rxq = popFront(k.rxq)
+	k.FW.DoCompute(firewall.SoftIRQ, k.M.CPU, k.P.XenNetRxCost, k.labels.netrx, k.rxDoneFn)
+}
+
+// rxDone ends the rx softirq: the packet in service goes to its port's
+// handler.
+func (k *Kernel) rxDone() {
+	pkt := k.rxCur
+	k.rxCur = nil
+	k.RcvdPackets++
+	k.Dirty.TouchBytes(int64(pkt.Size))
+	if m, ok := pkt.Payload.(*Message); ok {
+		if h, ok := k.handlers[m.Port]; ok {
+			h(pkt.Src, m)
 		}
-		k.rxPump()
-	})
+	}
+	k.rxPump()
+}
+
+// popFront drops q's head by copying the rest down, so the backing
+// array keeps no pointer to the popped packet (q = q[1:] would pin it
+// until the next regrow).
+func popFront(q []*simnet.Packet) []*simnet.Packet {
+	n := copy(q, q[1:])
+	q[n] = nil
+	return q[:n]
 }
 
 // TxQueueLen reports packets waiting in the paravirtual tx path.
@@ -395,7 +425,7 @@ func (k *Kernel) WriteDisk(off, n int64, fn func()) {
 func (k *Kernel) ioDone(fn func()) {
 	k.inflightIO--
 	if fn != nil {
-		k.FW.After(firewall.SoftIRQ, 0, k.labels.bioDone, fn)
+		k.FW.DoAfter(firewall.SoftIRQ, 0, k.labels.bioDone, fn)
 	}
 	if k.inflightIO == 0 && len(k.ioWaiters) > 0 {
 		ws := k.ioWaiters

@@ -83,7 +83,7 @@ func TestFlowLabelsAssigned(t *testing.T) {
 }
 
 func TestTxQueueVisibility(t *testing.T) {
-	s, ka, _ := kernelPair(3)
+	s, ka, kb := kernelPair(3)
 	ka.Suspend(func() {})
 	s.RunFor(20 * sim.Millisecond)
 	for i := 0; i < 5; i++ {
@@ -97,6 +97,21 @@ func TestTxQueueVisibility(t *testing.T) {
 	s.Run()
 	if ka.TxQueueLen() != 0 {
 		t.Fatal("tx queue not drained after resume")
+	}
+	if kb.RcvdPackets != 5 {
+		t.Fatalf("received %d packets, want 5", kb.RcvdPackets)
+	}
+	// Pops copy the queue down, so no backing array or in-service slot
+	// keeps a packet that has left the kernel.
+	if ka.txCur != nil || kb.rxCur != nil {
+		t.Fatal("in-service slot still holds a packet")
+	}
+	for _, q := range [][]*simnet.Packet{ka.txq, kb.rxq} {
+		for _, pkt := range q[:cap(q)] {
+			if pkt != nil {
+				t.Fatal("queue backing array still holds a packet")
+			}
+		}
 	}
 }
 

@@ -93,7 +93,11 @@ type NIC struct {
 	handler func(*Packet)
 
 	txFreeAt sim.Time // when the transmitter finishes its current queue
-	txQueue  int      // packets queued but not yet on the wire
+	// tx holds packets accepted for transmit but not yet handed
+	// downstream, each with the port it was sent to. Exit times never
+	// decrease, so the cached txExitFn always completes the head.
+	tx       hopFIFO
+	txExitFn func()
 
 	frozen    bool
 	replay    []*Packet // arrival-ordered log of packets received while frozen
@@ -116,7 +120,9 @@ type NIC struct {
 // The replay gap defaults to 1 µs, approximating back-to-back delivery
 // without creating simultaneous events.
 func NewNIC(s *sim.Simulator, addr Addr, speed Bitrate) *NIC {
-	return &NIC{sim: s, addr: addr, speed: speed, replayGap: sim.Microsecond}
+	n := &NIC{sim: s, addr: addr, speed: speed, replayGap: sim.Microsecond}
+	n.txExitFn = n.txExit
+	return n
 }
 
 // Addr reports the NIC's address.
@@ -133,7 +139,7 @@ func (n *NIC) OnReceive(h func(*Packet)) { n.handler = h }
 
 // QueuedTx reports packets accepted for transmit but not yet delivered
 // to the downstream port.
-func (n *NIC) QueuedTx() int { return n.txQueue }
+func (n *NIC) QueuedTx() int { return n.tx.len() }
 
 // Send serializes the packet onto the attached port, honoring the line
 // rate: a packet begins transmission only after all previously queued
@@ -157,15 +163,17 @@ func (n *NIC) Send(pkt *Packet) sim.Time {
 	}
 	done := start + n.speed.TxTime(pkt.Size)
 	n.txFreeAt = done
-	n.txQueue++
 	n.TX.Packets++
 	n.TX.Bytes += uint64(pkt.Size)
-	out := n.out
-	n.sim.DoAt(done, "nic.tx", func() {
-		n.txQueue--
-		out.Accept(pkt)
-	})
+	n.tx.push(hop{pkt, n.out})
+	n.sim.DoAt(done, "nic.tx", n.txExitFn)
 	return done
+}
+
+// txExit hands the packet at the head of the transmit FIFO downstream.
+func (n *NIC) txExit() {
+	h := n.tx.pop()
+	h.to.Accept(h.pkt)
 }
 
 // flowLabel returns the cached "src>dst" label for a destination,
@@ -246,6 +254,10 @@ type Wire struct {
 	delay sim.Time
 	loss  float64 // probability in [0,1]
 	dst   Port
+	// inflight holds packets propagating, oldest first; a fixed delay
+	// makes the cached arriveFn always complete the head.
+	inflight hopFIFO
+	arriveFn func()
 
 	Delivered uint64
 	Lost      uint64
@@ -253,7 +265,9 @@ type Wire struct {
 
 // NewWire creates a wire to dst with the given one-way propagation delay.
 func NewWire(s *sim.Simulator, delay sim.Time, dst Port) *Wire {
-	return &Wire{sim: s, delay: delay, dst: dst}
+	w := &Wire{sim: s, delay: delay, dst: dst}
+	w.arriveFn = w.arrive
+	return w
 }
 
 // SetLoss sets the independent per-packet loss probability.
@@ -276,10 +290,14 @@ func (w *Wire) Accept(pkt *Packet) {
 		w.Lost++
 		return
 	}
-	w.sim.DoAfter(w.delay, "wire", func() {
-		w.Delivered++
-		w.dst.Accept(pkt)
-	})
+	w.inflight.push(hop{pkt, w.dst})
+	w.sim.DoAfter(w.delay, "wire", w.arriveFn)
+}
+
+func (w *Wire) arrive() {
+	h := w.inflight.pop()
+	w.Delivered++
+	h.to.Accept(h.pkt)
 }
 
 // Switch is a store-and-forward L2 switch: packets are forwarded to the
@@ -290,6 +308,11 @@ type Switch struct {
 	sim     *sim.Simulator
 	latency sim.Time
 	ports   map[Addr]Port
+	// fwd holds packets being forwarded with their egress ports, oldest
+	// first; a fixed latency makes the cached forwardFn always complete
+	// the head.
+	fwd       hopFIFO
+	forwardFn func()
 
 	Forwarded uint64
 	Unknown   uint64
@@ -297,7 +320,9 @@ type Switch struct {
 
 // NewSwitch creates a switch with the given per-packet forwarding latency.
 func NewSwitch(s *sim.Simulator, latency sim.Time) *Switch {
-	return &Switch{sim: s, latency: latency, ports: make(map[Addr]Port)}
+	sw := &Switch{sim: s, latency: latency, ports: make(map[Addr]Port)}
+	sw.forwardFn = sw.forward
+	return sw
 }
 
 // Connect registers the port handling traffic addressed to addr.
@@ -310,8 +335,52 @@ func (sw *Switch) Accept(pkt *Packet) {
 		sw.Unknown++
 		return
 	}
-	sw.sim.DoAfter(sw.latency, "switch", func() {
-		sw.Forwarded++
-		dst.Accept(pkt)
-	})
+	sw.fwd.push(hop{pkt, dst})
+	sw.sim.DoAfter(sw.latency, "switch", sw.forwardFn)
+}
+
+func (sw *Switch) forward() {
+	h := sw.fwd.pop()
+	sw.Forwarded++
+	h.to.Accept(h.pkt)
+}
+
+// hop is a packet on its way to a port.
+type hop struct {
+	pkt *Packet
+	to  Port
+}
+
+// hopFIFO queues the hops one fabric component has scheduled to leave
+// it, oldest first. Each component's exit times never decrease and the
+// simulator fires equal times in scheduling order, so one cached
+// callback per component always completes the head.
+type hopFIFO struct {
+	buf  []hop
+	head int
+}
+
+func (q *hopFIFO) len() int { return len(q.buf) - q.head }
+
+func (q *hopFIFO) push(h hop) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		// Slide the live entries down instead of growing past the
+		// popped prefix.
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf = q.buf[:n]
+		q.head = 0
+	}
+	q.buf = append(q.buf, h)
+}
+
+func (q *hopFIFO) pop() hop {
+	h := q.buf[q.head]
+	q.buf[q.head] = hop{}
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	}
+	return h
 }

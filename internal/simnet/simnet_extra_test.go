@@ -98,3 +98,34 @@ func TestSwitchMultiplePorts(t *testing.T) {
 		t.Fatalf("forwarded = %d", sw.Forwarded)
 	}
 }
+
+// TestFIFONeverDrainedStaysBounded: a component whose FIFO never
+// empties (steady traffic) keeps popping in push order, clears popped
+// slots, and slides live entries down instead of growing without bound.
+func TestFIFONeverDrainedStaysBounded(t *testing.T) {
+	var q hopFIFO
+	next, want := uint64(0), uint64(0)
+	for round := 0; round < 1000; round++ {
+		for i := 0; i < 3; i++ {
+			q.push(hop{pkt: &Packet{ID: next}})
+			next++
+		}
+		for i := 0; i < 2; i++ {
+			if h := q.pop(); h.pkt.ID != want {
+				t.Fatalf("popped packet %d, want %d", h.pkt.ID, want)
+			}
+			want++
+		}
+		if q.len() != round+1 {
+			t.Fatalf("len %d, want %d", q.len(), round+1)
+		}
+	}
+	if cap(q.buf) > 4*q.len() {
+		t.Fatalf("buffer cap %d for %d live entries", cap(q.buf), q.len())
+	}
+	for _, h := range q.buf[:q.head] {
+		if h.pkt != nil {
+			t.Fatal("popped slot still references its packet")
+		}
+	}
+}
