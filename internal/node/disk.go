@@ -44,6 +44,11 @@ type Disk struct {
 	active  bool
 	headPos int64 // byte position after last transfer
 
+	// cur is the request in service; ioDone is its completion callback,
+	// bound on first use so a request costs no closure.
+	cur    *DiskRequest
+	ioDone func()
+
 	// Throttle expresses bandwidth given up to rate-limited background
 	// work (LVM mirror synchronization, §5.3); 0 = none, 0.5 = half.
 	throttle float64
@@ -129,31 +134,44 @@ func (d *Disk) startNext() {
 	}
 	d.active = true
 	r := d.queue[0]
-	d.queue = d.queue[1:]
+	// Pop by copy-down so the backing array keeps no finished request
+	// (and its Done closure) reachable.
+	n := copy(d.queue, d.queue[1:])
+	d.queue[n] = nil
+	d.queue = d.queue[:n]
+	d.cur = r
 	svc := d.ServiceTime(r.LBA, r.Bytes)
 	d.BusyTime += svc
-	d.s.DoAfter(svc, "disk.io", func() {
-		d.headPos = r.LBA + r.Bytes
-		if r.Op == Read {
-			d.ReadBytes += r.Bytes
-			d.ReadOps++
-		} else {
-			d.WriteBytes += r.Bytes
-			d.WriteOps++
+	if d.ioDone == nil {
+		d.ioDone = d.complete
+	}
+	d.s.DoAfter(svc, "disk.io", d.ioDone)
+}
+
+// complete retires the request in service and starts the next one.
+func (d *Disk) complete() {
+	r := d.cur
+	d.cur = nil
+	d.headPos = r.LBA + r.Bytes
+	if r.Op == Read {
+		d.ReadBytes += r.Bytes
+		d.ReadOps++
+	} else {
+		d.WriteBytes += r.Bytes
+		d.WriteOps++
+	}
+	d.TotalLatency += d.s.Now() - r.issued
+	if r.Done != nil {
+		r.Done()
+	}
+	d.startNext()
+	if !d.active && len(d.waiters) > 0 {
+		ws := d.waiters
+		d.waiters = nil
+		for _, w := range ws {
+			w()
 		}
-		d.TotalLatency += d.s.Now() - r.issued
-		if r.Done != nil {
-			r.Done()
-		}
-		d.startNext()
-		if !d.active && len(d.waiters) > 0 {
-			ws := d.waiters
-			d.waiters = nil
-			for _, w := range ws {
-				w()
-			}
-		}
-	})
+	}
 }
 
 // Drain invokes fn once all in-flight requests have completed. This is

@@ -92,3 +92,32 @@ func TestDiskOpString(t *testing.T) {
 		t.Fatal("op strings")
 	}
 }
+
+// TestDiskQueueReleasesFinishedRequests: once a burst drains, neither
+// the queue's backing array nor the in-service slot may still reference
+// a request (and through it its Done closure).
+func TestDiskQueueReleasesFinishedRequests(t *testing.T) {
+	s := sim.New(1)
+	d := NewDisk(s, DefaultParams())
+	done := 0
+	for i := int64(0); i < 32; i++ {
+		d.Submit(&DiskRequest{Op: Write, LBA: i << 20, Bytes: 4096, Done: func() { done++ }})
+	}
+	s.Run()
+	if done != 32 || d.QueueLen() != 0 {
+		t.Fatalf("%d of 32 requests completed, %d still queued", done, d.QueueLen())
+	}
+	// Popping from the front keeps the backing array (no reslicing past
+	// finished slots), so every slot it has is visible here.
+	if cap(d.queue) < 31 {
+		t.Fatalf("queue backing array has cap %d after a 31-deep burst; pops must copy down", cap(d.queue))
+	}
+	for i, r := range d.queue[:cap(d.queue)] {
+		if r != nil {
+			t.Fatalf("backing slot %d still holds a finished request", i)
+		}
+	}
+	if d.cur != nil {
+		t.Fatal("the in-service slot still holds a finished request")
+	}
+}

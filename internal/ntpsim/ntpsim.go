@@ -57,6 +57,8 @@ type Sync struct {
 	m     Model
 	nodes map[string]*nodeState
 	seed  int64
+	// rng is reseeded for every draw (see reseed).
+	rng *rand.Rand
 }
 
 // New creates a Sync using the simulation's determinism (a per-node
@@ -71,7 +73,7 @@ func (y *Sync) Start(name string) {
 	for _, c := range name {
 		h = h*131 + int64(c)
 	}
-	rng := rand.New(rand.NewSource(y.seed ^ h))
+	rng := y.reseed(y.seed ^ h)
 	sign := 1.0
 	if rng.Intn(2) == 0 {
 		sign = -1
@@ -85,20 +87,33 @@ func (y *Sync) Start(name string) {
 	}
 }
 
+// reseed returns the Sync's one generator reset to seed: the same
+// stream a fresh rand.NewSource(seed) gives, without allocating a
+// source per draw. It is created on first use.
+func (y *Sync) reseed(seed int64) *rand.Rand {
+	if y.rng == nil {
+		y.rng = rand.New(rand.NewSource(seed))
+	} else {
+		y.rng.Seed(seed)
+	}
+	return y.rng
+}
+
 // Started reports whether the node is being disciplined.
 func (y *Sync) Started(name string) bool {
 	_, ok := y.nodes[name]
 	return ok
 }
 
-func (n *nodeState) floor(m Model, t sim.Time) float64 {
+func (y *Sync) floor(n *nodeState, t sim.Time) float64 {
+	m := y.m
 	epoch := int64(t / m.FloorEpoch)
 	if v, ok := n.floors[epoch]; ok {
 		return v
 	}
-	// Draw deterministically from a throwaway source keyed by the
-	// node's fixed salt and the epoch, so access order does not matter.
-	r := rand.New(rand.NewSource(n.salt ^ epoch*2654435761))
+	// Draw deterministically from the generator reseeded by the node's
+	// fixed salt and the epoch, so access order does not matter.
+	r := y.reseed(n.salt ^ epoch*2654435761)
 	sign := 1.0
 	if r.Intn(2) == 0 {
 		sign = -1
@@ -122,7 +137,7 @@ func (y *Sync) ErrorAt(name string, t sim.Time) sim.Time {
 		age = 0
 	}
 	decay := n.amp * math.Exp(-float64(age)/float64(y.m.Tau))
-	return sim.Time(decay + n.floor(y.m, t))
+	return sim.Time(decay + y.floor(n, t))
 }
 
 // Error reports the node's current clock error.

@@ -1,6 +1,7 @@
 package ntpsim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -139,5 +140,52 @@ func TestPropertyBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReseededDrawsMatchFreshSources: Start and the floor draws reuse
+// one reseeded generator; every value must equal what a fresh source
+// with the same seed yields, whatever order nodes and epochs are
+// touched in.
+func TestReseededDrawsMatchFreshSources(t *testing.T) {
+	m := DefaultModel()
+	fresh := func(seed int64) (sign, frac float64, r *rand.Rand) {
+		r = rand.New(rand.NewSource(seed))
+		sign = 1.0
+		if r.Intn(2) == 0 {
+			sign = -1
+		}
+		return sign, r.Float64(), r
+	}
+	for _, seed := range []int64{0, 1, 3, 0x7ab5, -42} {
+		y := New(sim.New(1), m, seed)
+		names := []string{"node0", "node1", "delay-a", "n"}
+		for _, name := range names {
+			y.Start(name)
+		}
+		for _, name := range names {
+			h := int64(0)
+			for _, c := range name {
+				h = h*131 + int64(c)
+			}
+			sign, frac, r := fresh(seed ^ h)
+			n := y.nodes[name]
+			amp := sign * (float64(m.InitialErrLo) + frac*float64(m.InitialErrHi-m.InitialErrLo))
+			if salt := r.Int63(); n.amp != amp || n.salt != salt {
+				t.Fatalf("seed %d %s: amp/salt %v/%d, fresh source gives %v/%d", seed, name, n.amp, n.salt, amp, salt)
+			}
+		}
+		// Interleave nodes and epochs so every floor draw reseeds a
+		// generator another node just used.
+		for _, epoch := range []int64{5, 0, 9, 1} {
+			for _, name := range names {
+				n := y.nodes[name]
+				got := y.floor(n, sim.Time(epoch)*m.FloorEpoch)
+				sign, frac, _ := fresh(n.salt ^ epoch*2654435761)
+				if want := sign * (float64(m.FloorLo) + frac*float64(m.FloorHi-m.FloorLo)); got != want {
+					t.Fatalf("seed %d %s epoch %d: floor %v, fresh source gives %v", seed, name, epoch, got, want)
+				}
+			}
+		}
 	}
 }

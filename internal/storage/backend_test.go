@@ -205,13 +205,13 @@ func TestChainStoreMirrorsBackend(t *testing.T) {
 	l := cs.NewLineage(2)
 	check("empty lineage")
 	for i := int64(0); i < 6; i++ {
-		l.Commit(map[int64]int64{i: i + 1, i + 100: i + 2}, 1)
+		l.Commit([]Block{{i, i + 1}, {i + 100, i + 2}}, 1)
 		cacheChain(l)
 		check("commit (with prune folds past depth 2)")
 	}
 	fork := l.Fork()
 	check("fork (shared by reference)")
-	fork.Commit(map[int64]int64{999: 1}, 1)
+	fork.Commit([]Block{{999, 1}}, 1)
 	cacheChain(fork)
 	check("divergent commit")
 	l.Release()

@@ -1,9 +1,6 @@
 package storage
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Addr is the content address of a committed epoch: a deterministic
 // hash over the epoch's dirtied blocks (sorted by virtual address, with
@@ -12,9 +9,10 @@ import (
 // and lineages share it by reference.
 type Addr uint64
 
-// addr computes the epoch's content address (FNV-1a over the sorted
-// block set). The epoch ID is deliberately excluded: identity is the
-// delta's content, not its position in any particular chain.
+// addr computes the epoch's content address (FNV-1a over the block
+// list, which is kept in address order). The epoch ID is deliberately
+// excluded: identity is the delta's content, not its position in any
+// particular chain.
 func (e *Epoch) addr() Addr {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
@@ -25,14 +23,9 @@ func (e *Epoch) addr() Addr {
 			v >>= 8
 		}
 	}
-	vbas := make([]int64, 0, len(e.Blocks))
-	for vba := range e.Blocks {
-		vbas = append(vbas, vba)
-	}
-	sort.Slice(vbas, func(i, j int) bool { return vbas[i] < vbas[j] })
-	for _, vba := range vbas {
-		mix(uint64(vba))
-		mix(uint64(e.Blocks[vba]))
+	for _, b := range e.Blocks {
+		mix(uint64(b.VBA))
+		mix(uint64(b.Tag))
 	}
 	mix(uint64(e.MemPages))
 	return Addr(h)
@@ -80,7 +73,7 @@ func (cs *ChainStore) NewLineage(maxDepth int) *Lineage {
 		maxDepth = DefaultMaxDepth
 	}
 	l := &Lineage{MaxDepth: maxDepth, store: cs, nextID: 1}
-	l.base, l.baseAddr = cs.retain(&Epoch{ID: 0, Blocks: make(map[int64]int64)})
+	l.base, l.baseAddr = cs.retain(&Epoch{ID: 0})
 	return l
 }
 
@@ -161,11 +154,7 @@ func (cs *ChainStore) exclusive(a Addr) *Epoch {
 		return ent.e
 	}
 	ent.refs--
-	cp := &Epoch{ID: ent.e.ID, MemPages: ent.e.MemPages, Blocks: make(map[int64]int64, len(ent.e.Blocks))}
-	for vba, tag := range ent.e.Blocks {
-		cp.Blocks[vba] = tag
-	}
-	return cp
+	return &Epoch{ID: ent.e.ID, MemPages: ent.e.MemPages, Blocks: append([]Block(nil), ent.e.Blocks...)}
 }
 
 // Refs reports how many lineages reference the address (0 if absent).

@@ -13,7 +13,7 @@ func TestChainStoreForkSharesByReference(t *testing.T) {
 	cs := NewChainStore()
 	l := cs.NewLineage(3)
 	for epoch := 0; epoch < 5; epoch++ {
-		blocks := map[int64]int64{int64(epoch): int64(100 + epoch), int64(epoch + 50): int64(epoch)}
+		blocks := []Block{{int64(epoch), int64(100 + epoch)}, {int64(epoch + 50), int64(epoch)}}
 		l.Commit(blocks, 1)
 	}
 	before := cs.StoredBytes()
@@ -28,12 +28,12 @@ func TestChainStoreForkSharesByReference(t *testing.T) {
 	}
 
 	// Divergence is branch-private.
-	b.Commit(map[int64]int64{999: 1}, 0)
+	b.Commit([]Block{{999, 1}}, 0)
 	got, parent := b.Materialize(), l.Materialize()
-	if _, ok := parent[999]; ok {
+	if parent[len(parent)-1].VBA == 999 {
 		t.Fatal("branch commit leaked into the parent's replay view")
 	}
-	if got[999] != 1 {
+	if got[len(got)-1] != (Block{999, 1}) {
 		t.Fatal("branch lost its private commit")
 	}
 }
@@ -44,26 +44,20 @@ func TestChainStoreCopyOnWritePrune(t *testing.T) {
 	cs := NewChainStore()
 	l := cs.NewLineage(2)
 	for epoch := 0; epoch < 2; epoch++ {
-		l.Commit(map[int64]int64{int64(epoch): int64(epoch + 10)}, 0)
+		l.Commit([]Block{{int64(epoch), int64(epoch + 10)}}, 0)
 	}
 	b := l.Fork()
 	want := b.Materialize()
 
 	// Drive the parent through several prune folds.
 	for epoch := 2; epoch < 8; epoch++ {
-		l.Commit(map[int64]int64{int64(epoch): int64(epoch + 10)}, 0)
+		l.Commit([]Block{{int64(epoch), int64(epoch + 10)}}, 0)
 	}
 	if l.MergedBytes == 0 {
 		t.Fatal("parent never pruned; copy-on-write untested")
 	}
-	got := b.Materialize()
-	if len(got) != len(want) {
-		t.Fatalf("sibling view changed size: %d -> %d blocks", len(want), len(got))
-	}
-	for vba, tag := range want {
-		if got[vba] != tag {
-			t.Fatalf("sibling block %d changed: tag %d -> %d", vba, tag, got[vba])
-		}
+	if d := diffBlocks(b.Materialize(), want); d != "" {
+		t.Fatalf("sibling view changed: %s", d)
 	}
 }
 
@@ -72,10 +66,10 @@ func TestChainStoreCopyOnWritePrune(t *testing.T) {
 func TestChainStoreReleaseGCs(t *testing.T) {
 	cs := NewChainStore()
 	l := cs.NewLineage(4)
-	l.Commit(map[int64]int64{1: 1, 2: 2}, 0)
+	l.Commit([]Block{{1, 1}, {2, 2}}, 0)
 	b := l.Fork()
-	b.Commit(map[int64]int64{3: 3}, 0) // branch-private
-	l.Commit(map[int64]int64{4: 4}, 0) // parent-private
+	b.Commit([]Block{{3, 3}}, 0) // branch-private
+	l.Commit([]Block{{4, 4}}, 0) // parent-private
 
 	want := l.Materialize()
 	stored := cs.StoredBytes()
@@ -86,11 +80,8 @@ func TestChainStoreReleaseGCs(t *testing.T) {
 	if cs.StoredBytes() != stored-BlockSize {
 		t.Fatalf("store holds %d bytes after release, want %d", cs.StoredBytes(), stored-BlockSize)
 	}
-	got := l.Materialize()
-	for vba, tag := range want {
-		if got[vba] != tag {
-			t.Fatalf("survivor block %d changed after sibling release: tag %d -> %d", vba, tag, got[vba])
-		}
+	if d := diffBlocks(l.Materialize(), want); d != "" {
+		t.Fatalf("survivor changed after sibling release: %s", d)
 	}
 	b.Release() // idempotent
 	if cs.GCBytes != BlockSize {
@@ -110,7 +101,7 @@ func TestChainStoreDedup(t *testing.T) {
 	cs := NewChainStore()
 	a := cs.NewLineage(4)
 	b := cs.NewLineage(4)
-	blocks := map[int64]int64{7: 70, 8: 80}
+	blocks := []Block{{7, 70}, {8, 80}}
 	a.Commit(blocks, 2)
 	before := cs.StoredBytes()
 	b.Commit(blocks, 2)
@@ -154,14 +145,8 @@ func TestChainStoreBranchReplayIdentity(t *testing.T) {
 			br.v.Merge(true, nil)
 		}
 		check := func(br *branch, when string) {
-			got, want := br.l.Materialize(), br.v.Snapshot(nil)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d %s: replay has %d blocks, snapshot %d", seed, when, len(got), len(want))
-			}
-			for vba, tag := range want {
-				if got[vba] != tag {
-					t.Fatalf("seed %d %s: block %d replayed tag %d, want %d", seed, when, vba, got[vba], tag)
-				}
+			if d := diffBlocks(br.l.Materialize(), br.v.Snapshot(nil)); d != "" {
+				t.Fatalf("seed %d %s: replay vs snapshot: %s", seed, when, d)
 			}
 		}
 
@@ -177,10 +162,9 @@ func TestChainStoreBranchReplayIdentity(t *testing.T) {
 		branches := []*branch{parent}
 		for i := 0; i < 3; i++ {
 			bv := newTestVolume(s)
-			bv.content = make(map[int64]int64)
-			for vba, tag := range parent.v.Snapshot(nil) {
-				bv.content[vba] = tag
-				bv.Agg.append(vba)
+			for _, b := range parent.v.Snapshot(nil) {
+				bv.content.set(b.VBA, b.Tag)
+				bv.Agg.append(b.VBA)
 			}
 			bv.writeSeq = parent.v.writeSeq
 			branches = append(branches, &branch{v: bv, l: parent.l.Fork()})

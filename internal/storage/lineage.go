@@ -2,6 +2,12 @@ package storage
 
 import "fmt"
 
+// Block is one content-tagged virtual block: equal tags mean the block
+// was last written by the same write, hence holds the same bytes.
+type Block struct {
+	VBA, Tag int64
+}
+
 // Epoch is one committed incremental checkpoint: the set of blocks
 // dirtied since the parent epoch (content-tagged so reconstruction can
 // be verified byte-identical) plus the dirty memory pages saved with it.
@@ -9,8 +15,8 @@ type Epoch struct {
 	// ID orders epochs within a lineage; the parent is the previous
 	// epoch in the chain (or the merged base).
 	ID int
-	// Blocks maps dirtied virtual block addresses to their content tag.
-	Blocks map[int64]int64
+	// Blocks lists the dirtied blocks in strictly ascending VBA order.
+	Blocks []Block
 	// MemPages is the count of dirty memory pages captured in this epoch.
 	MemPages int
 }
@@ -67,14 +73,18 @@ func (l *Lineage) Store() *ChainStore { return l.store }
 
 // Commit appends one incremental checkpoint — the blocks dirtied since
 // the previous commit and the dirty memory pages saved alongside — and
-// prunes the chain back under MaxDepth. It returns the committed epoch
-// (the store's canonical copy if the content already existed).
-func (l *Lineage) Commit(blocks map[int64]int64, memPages int) *Epoch {
-	cp := make(map[int64]int64, len(blocks))
-	for vba, tag := range blocks {
-		cp[vba] = tag
+// prunes the chain back under MaxDepth. blocks must be in strictly
+// ascending VBA order (as Volume.EpochBlocks and Materialize return
+// them); Commit keeps its own copy. It returns the committed epoch (the
+// store's canonical copy if the content already existed).
+func (l *Lineage) Commit(blocks []Block, memPages int) *Epoch {
+	for i := 1; i < len(blocks); i++ {
+		if blocks[i].VBA <= blocks[i-1].VBA {
+			panic(fmt.Sprintf("storage: commit blocks out of order at %d (VBA %d after %d)",
+				i, blocks[i].VBA, blocks[i-1].VBA))
+		}
 	}
-	e := &Epoch{ID: l.nextID, Blocks: cp, MemPages: memPages}
+	e := &Epoch{ID: l.nextID, Blocks: append([]Block(nil), blocks...), MemPages: memPages}
 	l.nextID++
 	e, a := l.store.retain(e)
 	l.chain = append(l.chain, e)
@@ -91,11 +101,13 @@ func (l *Lineage) Commit(blocks map[int64]int64, memPages int) *Epoch {
 func (l *Lineage) prune() {
 	for len(l.chain) > l.MaxDepth {
 		oldest, oldestAddr := l.chain[0], l.addrs[0]
-		l.chain, l.addrs = l.chain[1:], l.addrs[1:]
+		// Pop by copy-down so the backing array holds no stale epoch.
+		n := copy(l.chain, l.chain[1:])
+		copy(l.addrs, l.addrs[1:])
+		l.chain[n] = nil
+		l.chain, l.addrs = l.chain[:n], l.addrs[:n]
 		base := l.store.exclusive(l.baseAddr)
-		for vba, tag := range oldest.Blocks {
-			base.Blocks[vba] = tag
-		}
+		base.Blocks = overlay(base.Blocks, oldest.Blocks)
 		base.MemPages += oldest.MemPages
 		base.ID = oldest.ID
 		l.MergedBytes += oldest.DiskBytes()
@@ -138,7 +150,7 @@ func (l *Lineage) Release() {
 	for _, a := range l.addrs {
 		l.store.release(a, true)
 	}
-	l.base = &Epoch{Blocks: make(map[int64]int64)}
+	l.base = &Epoch{}
 	l.chain, l.addrs = nil, nil
 }
 
@@ -208,19 +220,38 @@ func (l *Lineage) SharedBytes() int64 {
 }
 
 // Materialize replays base + chain in commit order and returns the
-// reconstructed content view. Against Volume.Snapshot this is the
-// byte-identity check: a block is correct iff its content tag matches.
-func (l *Lineage) Materialize() map[int64]int64 {
-	out := make(map[int64]int64, len(l.base.Blocks))
-	for vba, tag := range l.base.Blocks {
-		out[vba] = tag
-	}
+// reconstructed content view in address order. Against Volume.Snapshot
+// this is the byte-identity check: a block is correct iff its content
+// tag matches.
+func (l *Lineage) Materialize() []Block {
+	out := append([]Block(nil), l.base.Blocks...)
 	for _, e := range l.chain {
-		for vba, tag := range e.Blocks {
-			out[vba] = tag
-		}
+		out = overlay(out, e.Blocks)
 	}
 	return out
+}
+
+// overlay merges two address-sorted block lists into a new one; where
+// both hold a block, newer's tag wins.
+func overlay(older, newer []Block) []Block {
+	out := make([]Block, 0, len(older)+len(newer))
+	i, j := 0, 0
+	for i < len(older) && j < len(newer) {
+		switch o, n := older[i], newer[j]; {
+		case o.VBA < n.VBA:
+			out = append(out, o)
+			i++
+		case o.VBA > n.VBA:
+			out = append(out, n)
+			j++
+		default:
+			out = append(out, n)
+			i++
+			j++
+		}
+	}
+	out = append(out, older[i:]...)
+	return append(out, newer[j:]...)
 }
 
 // Drop removes blocks from every epoch (base and chain) — free-block
@@ -233,19 +264,21 @@ func (l *Lineage) Drop(isFree func(vba int64) bool) {
 		return
 	}
 	touches := func(e *Epoch) bool {
-		for vba := range e.Blocks {
-			if isFree(vba) {
+		for _, b := range e.Blocks {
+			if isFree(b.VBA) {
 				return true
 			}
 		}
 		return false
 	}
 	drop := func(e *Epoch) {
-		for vba := range e.Blocks {
-			if isFree(vba) {
-				delete(e.Blocks, vba)
+		kept := e.Blocks[:0]
+		for _, b := range e.Blocks {
+			if !isFree(b.VBA) {
+				kept = append(kept, b)
 			}
 		}
+		e.Blocks = kept
 	}
 	if touches(l.base) {
 		base := l.store.exclusive(l.baseAddr)

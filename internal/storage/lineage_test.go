@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -10,6 +11,20 @@ import (
 
 // drain runs the simulator until the volume's disk requests settle.
 func drain(s *sim.Simulator) { s.Run() }
+
+// diffBlocks describes the first difference between two address-sorted
+// block lists, or returns "" when they are equal.
+func diffBlocks(got, want []Block) string {
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if got[i] != want[i] {
+			return fmt.Sprintf("entry %d is %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d blocks, want %d", len(got), len(want))
+	}
+	return ""
+}
 
 func newTestVolume(s *sim.Simulator) *Volume {
 	m := node.NewMachine(s, "t", node.DefaultParams())
@@ -49,14 +64,8 @@ func TestLineageReplayIdentity(t *testing.T) {
 				pruned = true
 			}
 
-			got, want := l.Materialize(), v.Snapshot(nil)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d epoch %d: replay has %d blocks, snapshot %d", seed, epoch, len(got), len(want))
-			}
-			for vba, tag := range want {
-				if got[vba] != tag {
-					t.Fatalf("seed %d epoch %d: block %d replayed tag %d, want %d", seed, epoch, vba, got[vba], tag)
-				}
+			if d := diffBlocks(l.Materialize(), v.Snapshot(nil)); d != "" {
+				t.Fatalf("seed %d epoch %d: replay vs snapshot: %s", seed, epoch, d)
 			}
 		}
 		if !pruned {
@@ -90,17 +99,14 @@ func TestLineageFreeBlockDrop(t *testing.T) {
 	}
 	l.Drop(isFree)
 
-	got, want := l.Materialize(), v.Snapshot(isFree)
-	if len(got) != len(want) {
-		t.Fatalf("replay has %d blocks, snapshot %d", len(got), len(want))
+	want := v.Snapshot(isFree)
+	for _, b := range want {
+		if isFree(b.VBA) {
+			t.Fatalf("snapshot retains freed block %d", b.VBA)
+		}
 	}
-	for vba, tag := range want {
-		if isFree(vba) {
-			t.Fatalf("snapshot retains freed block %d", vba)
-		}
-		if got[vba] != tag {
-			t.Fatalf("block %d replayed tag %d, want %d", vba, got[vba], tag)
-		}
+	if d := diffBlocks(l.Materialize(), want); d != "" {
+		t.Fatalf("replay vs snapshot: %s", d)
 	}
 }
 
@@ -111,12 +117,11 @@ func TestLineageReplayBounded(t *testing.T) {
 	// Every epoch rewrites the same 10 hot blocks plus 2 fresh ones.
 	fresh := int64(1000)
 	for epoch := 0; epoch < 50; epoch++ {
-		blocks := make(map[int64]int64)
+		var blocks []Block
 		for b := int64(0); b < 10; b++ {
-			blocks[b] = int64(epoch*100) + b
+			blocks = append(blocks, Block{b, int64(epoch*100) + b})
 		}
-		blocks[fresh] = int64(epoch)
-		blocks[fresh+1] = int64(epoch)
+		blocks = append(blocks, Block{fresh, int64(epoch)}, Block{fresh + 1, int64(epoch)})
 		fresh += 2
 		l.Commit(blocks, 0)
 	}

@@ -8,8 +8,9 @@
 // appended at the log head, so COW never performs a read-before-write
 // (§5.3, the order-of-magnitude improvement over stock LVM snapshots —
 // OriginalLVM mode models the stock behaviour for Fig. 8's comparison).
-// Reads cost a current-delta hash lookup, then an aggregated-delta hash
-// lookup, then fall through to the golden image's linear addressing.
+// Reads cost a current-delta index lookup, then an aggregated-delta
+// index lookup, then fall through to the golden image's linear
+// addressing.
 //
 // After a swap-out, the current delta is merged into the aggregated
 // delta offline; the merge re-sorts blocks by virtual address to restore
@@ -18,7 +19,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 
 	"emucheck/internal/node"
 )
@@ -66,12 +66,14 @@ const (
 	CopyAreaBase = 120 << 30            // stock-LVM copy-aside region
 )
 
-// Delta is one COW branch: a hash index from virtual block number to a
+// Delta is one COW branch: an index from virtual block number to a
 // slot in an append-only on-disk log.
 type Delta struct {
-	// Index maps a virtual block address to its occupied log slot.
-	Index map[int64]int64
-	// Order lists the VBAs in physical log-append order.
+	// index maps a virtual block address to its newest log slot.
+	index blockTable
+	// slots counts appended log slots, rewrites included.
+	slots int64
+	// Order lists the VBAs in the order they first entered the log.
 	Order []int64
 	// BaseLBA is the byte LBA where the delta's log region starts.
 	BaseLBA int64
@@ -79,14 +81,14 @@ type Delta struct {
 
 // NewDelta creates an empty delta whose log lives at base.
 func NewDelta(base int64) *Delta {
-	return &Delta{Index: make(map[int64]int64), BaseLBA: base}
+	return &Delta{BaseLBA: base}
 }
 
-// Slots reports occupied log slots.
-func (d *Delta) Slots() int { return len(d.Order) }
+// Slots reports occupied log slots, superseded ones included.
+func (d *Delta) Slots() int { return int(d.slots) }
 
 // Bytes reports the delta's on-disk size.
-func (d *Delta) Bytes() int64 { return int64(len(d.Order)) * BlockSize }
+func (d *Delta) Bytes() int64 { return d.slots * BlockSize }
 
 // LiveBytes reports the delta size after free-block elimination: blocks
 // the filesystem has freed are dropped (§5.1).
@@ -95,17 +97,17 @@ func (d *Delta) LiveBytes(isFree func(vba int64) bool) int64 {
 		return d.Bytes()
 	}
 	var n int64
-	for vba := range d.Index {
+	d.index.each(func(vba, _ int64) {
 		if !isFree(vba) {
 			n += BlockSize
 		}
-	}
+	})
 	return n
 }
 
 // lookup reports the physical LBA for vba, or -1.
 func (d *Delta) lookup(vba int64) int64 {
-	slot, ok := d.Index[vba]
+	slot, ok := d.index.get(vba)
 	if !ok {
 		return -1
 	}
@@ -115,10 +117,19 @@ func (d *Delta) lookup(vba int64) int64 {
 // append adds (or overwrites) vba at the log head and reports the
 // physical LBA written.
 func (d *Delta) append(vba int64) int64 {
-	slot := int64(len(d.Order))
-	d.Index[vba] = slot
-	d.Order = append(d.Order, vba)
+	slot := d.slots
+	d.slots++
+	if d.index.set(vba, slot) {
+		d.Order = append(d.Order, vba)
+	}
 	return d.BaseLBA + slot*BlockSize
+}
+
+// reset empties the delta in place, keeping its storage for reuse.
+func (d *Delta) reset() {
+	d.index.clear()
+	d.slots = 0
+	d.Order = d.Order[:0]
 }
 
 // Volume is a guest virtual disk assembled from the three levels.
@@ -147,13 +158,13 @@ type Volume struct {
 
 	// cowCopied tracks OriginalLVM copy-aside regions (LVM chunk
 	// granularity) that have already been preserved.
-	cowCopied map[int64]bool
+	cowCopied blockTable
 
 	// content tags every written block with a monotonically increasing
 	// write sequence number, so two views of the volume can be compared
 	// for byte-identity without storing data: equal tags mean the block
 	// was last written by the same write, hence holds the same bytes.
-	content  map[int64]int64
+	content  blockTable
 	writeSeq int64
 
 	// ReadsCur, ReadsAgg and ReadsGolden count which level satisfied
@@ -255,10 +266,12 @@ func (v *Volume) Write(off, n int64, done func()) {
 		panic("storage: empty write")
 	}
 	if v.Mode == Raw {
-		v.submit(node.Write, []span{{lba: GoldenBase + off, n: n}}, done)
+		v.Disk.Submit(&node.DiskRequest{Op: node.Write, LBA: GoldenBase + off, Bytes: n, Done: done})
 		return
 	}
-	var spans []span
+	// The blocks take consecutive log slots, so the data lands in one
+	// contiguous span starting at the first block's slot.
+	var lba, bytes int64
 	for b := off / BlockSize; b <= (off+n-1)/BlockSize; b++ {
 		if v.Mode == OriginalLVM {
 			// Stock LVM snapshot: the first write within each LVM chunk
@@ -267,23 +280,19 @@ func (v *Volume) Write(off, n int64, done func()) {
 			// redo log eliminates, §5.3).
 			const lvmChunk = 512 << 10
 			region := b * BlockSize / lvmChunk
-			if v.cowCopied == nil {
-				v.cowCopied = make(map[int64]bool)
-			}
-			if !v.cowCopied[region] {
-				v.cowCopied[region] = true
+			if v.cowCopied.set(region, 0) {
 				v.CowCopies++
 				src := GoldenBase + region*lvmChunk
 				v.Disk.Submit(&node.DiskRequest{Op: node.Read, LBA: src, Bytes: lvmChunk})
 				v.Disk.Submit(&node.DiskRequest{Op: node.Write, LBA: CopyAreaBase + v.CowCopies*lvmChunk, Bytes: lvmChunk})
 			}
 		}
-		if v.content == nil {
-			v.content = make(map[int64]int64)
-		}
 		v.writeSeq++
-		v.content[b] = v.writeSeq
-		spans = append(spans, span{lba: v.Cur.append(b), n: BlockSize})
+		v.content.set(b, v.writeSeq)
+		if at := v.Cur.append(b); bytes == 0 {
+			lba = at
+		}
+		bytes += BlockSize
 		if v.MetadataEvery > 0 {
 			v.writesSinceMeta++
 			if v.writesSinceMeta >= v.MetadataEvery {
@@ -293,7 +302,7 @@ func (v *Volume) Write(off, n int64, done func()) {
 			}
 		}
 	}
-	v.submit(node.Write, spans, done)
+	v.Disk.Submit(&node.DiskRequest{Op: node.Write, LBA: lba, Bytes: bytes, Done: done})
 }
 
 // CurrentDeltaBytes reports the current delta size, optionally after
@@ -303,33 +312,31 @@ func (v *Volume) CurrentDeltaBytes(isFree func(vba int64) bool) int64 {
 }
 
 // EpochBlocks returns the content-tagged view of the current delta —
-// every block dirtied since the last Merge, keyed by virtual block
-// address — optionally after free-block elimination. This is the
-// per-epoch diff an incremental swap-out uploads and commits to a
-// checkpoint Lineage.
-func (v *Volume) EpochBlocks(isFree func(vba int64) bool) map[int64]int64 {
-	out := make(map[int64]int64, len(v.Cur.Index))
-	for vba := range v.Cur.Index {
-		if isFree != nil && isFree(vba) {
-			continue
+// every block dirtied since the last Merge, in address order —
+// optionally after free-block elimination. This is the per-epoch diff
+// an incremental swap-out uploads and commits to a checkpoint Lineage.
+func (v *Volume) EpochBlocks(isFree func(vba int64) bool) []Block {
+	out := make([]Block, 0, v.Cur.index.len())
+	v.Cur.index.each(func(vba, _ int64) {
+		if isFree == nil || !isFree(vba) {
+			tag, _ := v.content.get(vba)
+			out = append(out, Block{VBA: vba, Tag: tag})
 		}
-		out[vba] = v.content[vba]
-	}
+	})
 	return out
 }
 
 // Snapshot returns the content-tagged view of every block ever written
-// (current plus aggregated history), optionally after free-block
-// elimination — the "full checkpoint" a replayed delta chain must
-// reconstruct exactly.
-func (v *Volume) Snapshot(isFree func(vba int64) bool) map[int64]int64 {
-	out := make(map[int64]int64, len(v.content))
-	for vba, tag := range v.content {
-		if isFree != nil && isFree(vba) {
-			continue
+// (current plus aggregated history), in address order, optionally after
+// free-block elimination — the "full checkpoint" a replayed delta chain
+// must reconstruct exactly.
+func (v *Volume) Snapshot(isFree func(vba int64) bool) []Block {
+	out := make([]Block, 0, v.content.len())
+	v.content.each(func(vba, tag int64) {
+		if isFree == nil || !isFree(vba) {
+			out = append(out, Block{VBA: vba, Tag: tag})
 		}
-		out[vba] = tag
-	}
+	})
 	return out
 }
 
@@ -339,46 +346,66 @@ func (v *Volume) Snapshot(isFree func(vba int64) bool) map[int64]int64 {
 // for subsequent sequential reads; isFree (optional) drops freed blocks.
 // It reports the merged delta's size in bytes.
 func (v *Volume) Merge(reorder bool, isFree func(vba int64) bool) int64 {
-	merged := make(map[int64]bool, len(v.Agg.Index)+len(v.Cur.Index))
-	for vba := range v.Agg.Index {
-		merged[vba] = true
+	if reorder {
+		v.mergeSorted(isFree)
+	} else {
+		v.mergeLogOrder(isFree)
 	}
-	for vba := range v.Cur.Index {
-		merged[vba] = true
-	}
-	newAgg := NewDelta(AggBase)
-	vbas := make([]int64, 0, len(merged))
-	for vba := range merged {
-		if isFree != nil && isFree(vba) {
-			// Eliminated for good: the block leaves the delta history, so
-			// reads fall through to golden and the content view must agree.
-			delete(v.content, vba)
+	v.Cur.reset()
+	v.writesSinceMeta = 0
+	return v.Agg.Bytes()
+}
+
+// mergeSorted rewrites the aggregated delta in place as Agg ∪ Cur in
+// address order: one walk over both tables, page by page.
+func (v *Volume) mergeSorted(isFree func(vba int64) bool) {
+	agg, cur := &v.Agg.index, &v.Cur.index
+	np := max(len(agg.pages), len(cur.pages))
+	v.Agg.Order = v.Agg.Order[:0]
+	v.Agg.slots = 0
+	for p := 0; p < np; p++ {
+		ap, cp := agg.page(p), cur.page(p)
+		if ap == nil && cp == nil {
 			continue
 		}
-		vbas = append(vbas, vba)
-	}
-	if reorder {
-		sort.Slice(vbas, func(i, j int) bool { return vbas[i] < vbas[j] })
-	} else {
-		// Preserve historical append order: aggregated first, then
-		// current, skipping superseded entries implicitly via the map.
-		vbas = vbas[:0]
-		seen := make(map[int64]bool)
-		for _, vba := range append(append([]int64{}, v.Agg.Order...), v.Cur.Order...) {
-			if seen[vba] || (isFree != nil && isFree(vba)) || !merged[vba] {
+		for i := 0; i < pageLen; i++ {
+			if (ap == nil || ap[i] == 0) && (cp == nil || cp[i] == 0) {
 				continue
 			}
-			seen[vba] = true
-			vbas = append(vbas, vba)
+			vba := int64(p)<<pageBits | int64(i)
+			if isFree != nil && isFree(vba) {
+				// Eliminated for good: the block leaves the delta history, so
+				// reads fall through to golden and the content view must agree.
+				agg.del(vba)
+				v.content.del(vba)
+				continue
+			}
+			// Re-slot in place: the walk never revisits an address.
+			agg.set(vba, v.Agg.slots)
+			v.Agg.slots++
+			v.Agg.Order = append(v.Agg.Order, vba)
 		}
 	}
-	for _, vba := range vbas {
-		newAgg.append(vba)
+}
+
+// mergeLogOrder rebuilds the aggregated delta in historical append
+// order — aggregated first, then current, each block at its first
+// appearance — without the locality-restoring sort.
+func (v *Volume) mergeLogOrder(isFree func(vba int64) bool) {
+	old := v.Agg
+	v.Agg = NewDelta(AggBase)
+	for _, order := range [][]int64{old.Order, v.Cur.Order} {
+		for _, vba := range order {
+			if v.Agg.index.has(vba) {
+				continue
+			}
+			if isFree != nil && isFree(vba) {
+				v.content.del(vba)
+				continue
+			}
+			v.Agg.append(vba)
+		}
 	}
-	v.Agg = newAgg
-	v.Cur = NewDelta(CurBase)
-	v.writesSinceMeta = 0
-	return newAgg.Bytes()
 }
 
 // String summarizes the volume for diagnostics.
