@@ -6,6 +6,7 @@ import (
 
 	"emucheck/internal/emulab"
 	"emucheck/internal/sim"
+	"emucheck/internal/storage"
 )
 
 // churnScenario builds a 2-node all-swappable experiment whose workload
@@ -199,6 +200,54 @@ func TestClusterBranchDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("same seed diverged:\n%s\n%s", a, b)
+	}
+}
+
+// TestLiveLineagesInNodeOrder: a session lists its live chains in node
+// order, both while a branch stages its forks and once it runs, so the
+// same state built twice yields the same list.
+func TestLiveLineagesInNodeOrder(t *testing.T) {
+	run := func() string {
+		c := NewCluster(12, 7, FIFO)
+		c.Incremental = true
+		_, branches := branchFanOut(t, c, 3)
+		var d string
+		// nodes gives a branch's node names in order and the chain each
+		// node holds.
+		check := func(phase string, nodes func(b *Session) ([]string, map[string]*storage.Lineage)) {
+			for _, b := range branches {
+				names, byName := nodes(b)
+				got := b.LiveLineages()
+				if len(got) != len(names) {
+					t.Fatalf("%s %s: %d live lineages for %d nodes", phase, b.Scenario.Spec.Name, len(got), len(names))
+				}
+				for i, n := range names {
+					if got[i] != byName[n] {
+						t.Fatalf("%s %s: lineage %d is not node %s's", phase, b.Scenario.Spec.Name, i, n)
+					}
+					d += fmt.Sprintf(" %s/%d/%d", n, got[i].Epochs(), got[i].ReplayBytes())
+				}
+			}
+		}
+		check("staged", func(b *Session) ([]string, map[string]*storage.Lineage) {
+			var names []string
+			for _, ns := range b.Scenario.Spec.Nodes {
+				names = append(names, ns.Name)
+			}
+			return names, b.branchLineages
+		})
+		c.RunFor(2 * sim.Minute)
+		check("running", func(b *Session) ([]string, map[string]*storage.Lineage) {
+			var names []string
+			for _, n := range b.Exp.Swap.Nodes {
+				names = append(names, n.Name)
+			}
+			return names, b.Exp.Swap.Lineages()
+		})
+		return d
+	}
+	if a, b := run(), run(); a != b {
+		t.Fatalf("same state, different lineage order:\n%s\n%s", a, b)
 	}
 }
 

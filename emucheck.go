@@ -341,24 +341,26 @@ func (s *Session) Kernel(node string) *guest.Kernel {
 }
 
 // LiveLineages lists every checkpoint chain the session currently holds
-// store references through: the per-node chains of its instantiated
-// experiment, or the forked chains a branch stages until its first
-// admission. Finished sessions hold none. The suite runner's refcount
-// audit sums these against the chain store's entries.
+// store references through, in node order: the per-node chains of its
+// instantiated experiment, or the forked chains a branch stages until
+// its first admission. Finished sessions hold none. The suite runner's
+// refcount audit sums these against the chain store's entries.
 func (s *Session) LiveLineages() []*storage.Lineage {
 	var out []*storage.Lineage
+	add := func(lin *storage.Lineage) {
+		if lin != nil && !lin.Released() {
+			out = append(out, lin)
+		}
+	}
 	if s.Exp != nil && s.Exp.Swap != nil {
-		for _, lin := range s.Exp.Swap.Lineages() {
-			if !lin.Released() {
-				out = append(out, lin)
-			}
+		lins := s.Exp.Swap.Lineages()
+		for _, n := range s.Exp.Swap.Nodes {
+			add(lins[n.Name])
 		}
 		return out
 	}
-	for _, lin := range s.branchLineages {
-		if !lin.Released() {
-			out = append(out, lin)
-		}
+	for _, ns := range s.Scenario.Spec.Nodes {
+		add(s.branchLineages[ns.Name])
 	}
 	return out
 }

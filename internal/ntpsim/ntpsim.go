@@ -48,7 +48,6 @@ type nodeState struct {
 	amp     float64 // initial amplitude, signed
 	started sim.Time
 	salt    int64
-	floors  map[int64]float64 // per-epoch steady error, signed, lazily drawn
 }
 
 // Sync models the NTP discipline of a set of nodes against true time.
@@ -57,14 +56,18 @@ type Sync struct {
 	m     Model
 	nodes map[string]*nodeState
 	seed  int64
-	// rng is reseeded for every draw (see reseed).
+	// rng reads src, which reseed resets for each node start and each
+	// floor epoch; see reseed.
+	src source
 	rng *rand.Rand
 }
 
 // New creates a Sync using the simulation's determinism (a per-node
 // seeded stream derived from seed keeps lazily-sampled errors stable).
 func New(s *sim.Simulator, m Model, seed int64) *Sync {
-	return &Sync{s: s, m: m, nodes: make(map[string]*nodeState), seed: seed}
+	y := &Sync{s: s, m: m, nodes: make(map[string]*nodeState), seed: seed}
+	y.rng = rand.New(&y.src)
+	return y
 }
 
 // Start begins disciplining a node's clock at the current time.
@@ -83,19 +86,14 @@ func (y *Sync) Start(name string) {
 		amp:     sign * amp,
 		started: y.s.Now(),
 		salt:    rng.Int63(),
-		floors:  make(map[int64]float64),
 	}
 }
 
-// reseed returns the Sync's one generator reset to seed: the same
-// stream a fresh rand.NewSource(seed) gives, without allocating a
-// source per draw. It is created on first use.
+// reseed returns the Sync's one generator reset to seed: it yields the
+// same stream a fresh rand.NewSource(seed) gives, and resetting it costs
+// a few arithmetic steps rather than math/rand's 607-word reseed.
 func (y *Sync) reseed(seed int64) *rand.Rand {
-	if y.rng == nil {
-		y.rng = rand.New(rand.NewSource(seed))
-	} else {
-		y.rng.Seed(seed)
-	}
+	y.src.Seed(seed)
 	return y.rng
 }
 
@@ -108,19 +106,14 @@ func (y *Sync) Started(name string) bool {
 func (y *Sync) floor(n *nodeState, t sim.Time) float64 {
 	m := y.m
 	epoch := int64(t / m.FloorEpoch)
-	if v, ok := n.floors[epoch]; ok {
-		return v
-	}
-	// Draw deterministically from the generator reseeded by the node's
-	// fixed salt and the epoch, so access order does not matter.
+	// The epoch's steady error is a pure function of the node's fixed
+	// salt and the epoch, so access order does not matter.
 	r := y.reseed(n.salt ^ epoch*2654435761)
 	sign := 1.0
 	if r.Intn(2) == 0 {
 		sign = -1
 	}
-	v := sign * (float64(m.FloorLo) + r.Float64()*float64(m.FloorHi-m.FloorLo))
-	n.floors[epoch] = v
-	return v
+	return sign * (float64(m.FloorLo) + r.Float64()*float64(m.FloorHi-m.FloorLo))
 }
 
 // ErrorAt reports the signed offset of the node's disciplined clock from

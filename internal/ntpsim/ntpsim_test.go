@@ -1,6 +1,7 @@
 package ntpsim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -187,5 +188,45 @@ func TestReseededDrawsMatchFreshSources(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestErrorQueriesAllocateNothing: a started node's error and trigger
+// are computed, not memoized, so querying them allocates nothing — not
+// even the first query of a node, which used to create its floor memo.
+func TestErrorQueriesAllocateNothing(t *testing.T) {
+	y := New(sim.New(1), DefaultModel(), 9)
+	names := make([]string, 101) // AllocsPerRun's warm-up plus 100 runs
+	for i := range names {
+		names[i] = fmt.Sprintf("node%d", i)
+		y.Start(names[i])
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(len(names)-1, func() {
+		name := names[next]
+		next++
+		at := sim.Time(next) * sim.Second
+		y.ErrorAt(name, at)
+		y.LocalTrigger(name, at)
+	})
+	if allocs != 0 {
+		t.Fatalf("ErrorAt+LocalTrigger allocate %v per call", allocs)
+	}
+}
+
+var errSink sim.Time
+
+// BenchmarkStartAndFloor: one node start plus two floor epochs, the
+// draws a checkpointed node costs the NTP model.
+func BenchmarkStartAndFloor(b *testing.B) {
+	m := DefaultModel()
+	y := New(sim.New(1), m, 10)
+	names := []string{"node0", "node1", "delay-a", "n"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		name := names[i%len(names)]
+		at := sim.Time(i) * sim.Second
+		y.Start(name)
+		errSink += y.ErrorAt(name, at) + y.ErrorAt(name, at+m.FloorEpoch)
 	}
 }

@@ -18,6 +18,7 @@ package timetravel
 
 import (
 	"fmt"
+	"slices"
 
 	"emucheck/internal/core"
 	"emucheck/internal/sim"
@@ -215,7 +216,8 @@ func (t *Tree) Prune(id NodeID) error {
 	return nil
 }
 
-// Leaves reports all leaf nodes (active or abandoned execution tips).
+// Leaves reports all leaf nodes (active or abandoned execution tips),
+// in ascending ID order.
 func (t *Tree) Leaves() []NodeID {
 	var out []NodeID
 	for id, n := range t.nodes {
@@ -223,6 +225,7 @@ func (t *Tree) Leaves() []NodeID {
 			out = append(out, id)
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 

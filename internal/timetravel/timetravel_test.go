@@ -161,3 +161,30 @@ func TestPropertyAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLeavesOrderIsDeterministic: the same tree built twice reports its
+// leaves in the same, ascending order.
+func TestLeavesOrderIsDeterministic(t *testing.T) {
+	build := func() []NodeID {
+		tr := NewTree(1 << 30)
+		root, _ := tr.Record(res(10), sim.Second)
+		for i := 0; i < 12; i++ {
+			plan, err := tr.Rollback(root.ID, Perturbation{Kind: SeedChange, Seed: int64(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.SetBranchPerturbation(plan.Perturb)
+			tr.Record(res(10), sim.Time(2+i)*sim.Second)
+		}
+		return tr.Leaves()
+	}
+	a, b := build(), build()
+	if len(a) != 12 || !sort.SliceIsSorted(a, func(i, j int) bool { return a[i] < a[j] }) {
+		t.Fatalf("leaves %v: want 12 in ascending order", a)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("same tree, different leaf order: %v vs %v", a, b)
+		}
+	}
+}
