@@ -7,15 +7,20 @@
 package emucheck_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"emucheck"
 	"emucheck/internal/emulab"
 	"emucheck/internal/evalrun"
+	"emucheck/internal/federation"
 	"emucheck/internal/sim"
 	"emucheck/internal/simnet"
+	"emucheck/internal/suite"
 )
 
 // demoSpecForBench mirrors the 2-node demo experiment used by the
@@ -361,124 +366,159 @@ func BenchmarkStorageCache(b *testing.B) {
 	}
 }
 
+// scaleCost is one one-facility federation fleet run with the
+// scheduler's decision work wall-clocked (sched.Instrument).
+type scaleCost struct {
+	tenants, completed int
+	// decisionUS is the mean host microseconds of scheduler work per
+	// decision (DecisionNanos over admissions plus preemptions).
+	decisionUS              float64
+	eventsPerMS, ticksPerMS float64
+}
+
+func runScaleCost(n int) scaleCost {
+	start := time.Now()
+	fed := federation.New(federation.Config{Facilities: 1, Tenants: n, Seed: benchSeed})
+	d := fed.Facilities[0].Sched
+	// Placement admits the first pool-full inside New, untimed; every
+	// decision the run itself makes is wall-clocked.
+	d.Instrument = true
+	r := fed.Run()
+	ms := float64(time.Since(start).Nanoseconds()) / 1e6
+	c := scaleCost{tenants: n, completed: r.Completed,
+		eventsPerMS: float64(r.Events) / ms, ticksPerMS: float64(r.Ticks) / ms}
+	if dec := d.Admissions + d.Preemptions; dec > 0 {
+		c.decisionUS = float64(d.DecisionNanos) / 1e3 / float64(dec)
+	}
+	return c
+}
+
 var (
-	scaleOnce sync.Once
-	scaleRes  *evalrun.ScaleResult
+	scaleOnce         sync.Once
+	scale1k, scale10k scaleCost
 )
 
-// BenchmarkScale regenerates the oversubscription trajectory — the
-// one-facility federation fleet — at 1k and 10k tenants and asserts
-// the scheduler hot path scales sub-linearly: growing the fleet 10x
-// (over a pool that stops growing at 256 nodes) must grow the mean
-// wall-clock cost per scheduler decision by well under 10x — the
-// indexed queue/victim structures' acceptance bar. Decision cost is
-// wall-clock and includes the chain-restore pricing the admission
-// hook runs, so the bound is deliberately loose (8x against a ~1.3x
-// measured ratio); a linear-scan regression shows up as ~40x and
-// fails regardless of machine noise.
+// BenchmarkScale runs the one-facility federation fleet (the scale
+// table's fleet) at 1k and 10k tenants and asserts the scheduler hot
+// path scales sub-linearly: growing the fleet 10x (over a pool that
+// stops growing at 256 nodes) must grow the mean wall-clock cost per
+// scheduler decision by well under 10x — the indexed queue/victim
+// structures' acceptance bar. Decision cost is wall-clock and includes
+// the chain-restore pricing the admission hook runs, so the bound is
+// deliberately loose (8x against a ~1.3x measured ratio); a
+// linear-scan regression shows up as ~40x and fails regardless of
+// machine noise.
 func BenchmarkScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		scaleOnce.Do(func() { scaleRes = evalrun.Scale(benchSeed, []int{1000, 10000}) })
+		scaleOnce.Do(func() { scale1k, scale10k = runScaleCost(1000), runScaleCost(10000) })
 	}
-	r1k, r10k := scaleRes.Rows[0], scaleRes.Rows[1]
-	b.ReportMetric(r1k.MeanDecisionUS, "us/decision-1k")
-	b.ReportMetric(r10k.MeanDecisionUS, "us/decision-10k")
-	b.ReportMetric(r10k.TicksPerWallMS, "ticks/wallms-10k")
-	b.ReportMetric(r10k.EventsPerWallMS, "events/wallms-10k")
-	if r1k.Completed != r1k.Tenants || r10k.Completed != r10k.Tenants {
+	r1k, r10k := scale1k, scale10k
+	b.ReportMetric(r1k.decisionUS, "us/decision-1k")
+	b.ReportMetric(r10k.decisionUS, "us/decision-10k")
+	b.ReportMetric(r10k.ticksPerMS, "ticks/wallms-10k")
+	b.ReportMetric(r10k.eventsPerMS, "events/wallms-10k")
+	if r1k.completed != r1k.tenants || r10k.completed != r10k.tenants {
 		b.Fatalf("fleet did not drain: %d/%d at 1k, %d/%d at 10k",
-			r1k.Completed, r1k.Tenants, r10k.Completed, r10k.Tenants)
+			r1k.completed, r1k.tenants, r10k.completed, r10k.tenants)
 	}
-	if r1k.MeanDecisionUS <= 0 || r10k.MeanDecisionUS >= 8*r1k.MeanDecisionUS {
+	if r1k.decisionUS <= 0 || r10k.decisionUS >= 8*r1k.decisionUS {
 		b.Fatalf("decision cost grew super-linearly: %.2f us at 1k -> %.2f us at 10k",
-			r1k.MeanDecisionUS, r10k.MeanDecisionUS)
+			r1k.decisionUS, r10k.decisionUS)
 	}
 }
 
 var (
-	sbOnce sync.Once
-	sbRes  *evalrun.SuiteBenchResult
+	sbOnce               sync.Once
+	sbSerialMS, sbPar4MS float64
+	sbIdentical          bool
 )
 
-// BenchmarkSuiteParallel regenerates the corpus-throughput table: the
-// 24-scenario generated matrix run serially and on 2/4/8 workers. The
-// report must be byte-identical at every width (parallelism only moves
-// the wall clock) and the event core must stay allocation-free in
-// steady state. The >=2x speedup bar at 4 workers is the parallel
-// runner's acceptance criterion; it only holds where 4 cores exist, so
-// it is gated on NumCPU (CI runners have 4; a 1-core box still checks
-// identity and allocs, and reports its speedup as a metric).
+// BenchmarkSuiteParallel times the 24-scenario generated matrix run
+// serially and on 4 workers. The report must be byte-identical at both
+// widths (parallelism only moves the wall clock). The >=2x speedup bar
+// at 4 workers is the parallel runner's acceptance criterion; it only
+// holds where 4 cores exist, so it is gated on NumCPU (a smaller box
+// still checks identity and reports its speedup as a metric).
 func BenchmarkSuiteParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sbOnce.Do(func() { sbRes = evalrun.SuiteBench(benchSeed, 24, nil) })
-	}
-	rows := map[int]evalrun.SuiteBenchRow{}
-	for _, r := range sbRes.Rows {
-		rows[r.Workers] = r
-	}
-	b.ReportMetric(rows[1].ScenariosPerS, "scen/s-serial")
-	b.ReportMetric(rows[4].ScenariosPerS, "scen/s-4workers")
-	b.ReportMetric(rows[4].Speedup, "x-speedup-4workers")
-	b.ReportMetric(sbRes.AllocsPerEvent, "allocs/event")
-	if sbRes.AllocsPerEvent != 0 {
-		b.Fatalf("event core allocates in steady state: %.0f allocs/event", sbRes.AllocsPerEvent)
-	}
-	for _, r := range sbRes.Rows {
-		if !r.Identical {
-			b.Fatalf("report at %d workers is not byte-identical to serial", r.Workers)
+	const count = 24
+	timed := func(workers int) ([]byte, float64) {
+		start := time.Now()
+		rep := suite.RunMatrixParallel(benchSeed, count, workers)
+		ms := float64(time.Since(start).Nanoseconds()) / 1e6
+		out, err := json.MarshalIndent(rep, "", "  ")
+		if err != nil {
+			b.Fatal(err)
 		}
+		return out, ms
 	}
-	if runtime.NumCPU() >= 4 && rows[4].Speedup < 2 {
+	for i := 0; i < b.N; i++ {
+		sbOnce.Do(func() {
+			var serial, par []byte
+			serial, sbSerialMS = timed(1)
+			par, sbPar4MS = timed(4)
+			sbIdentical = bytes.Equal(serial, par)
+		})
+	}
+	speedup := sbSerialMS / sbPar4MS
+	b.ReportMetric(count/(sbSerialMS/1e3), "scen/s-serial")
+	b.ReportMetric(count/(sbPar4MS/1e3), "scen/s-4workers")
+	b.ReportMetric(speedup, "x-speedup-4workers")
+	if !sbIdentical {
+		b.Fatal("report at 4 workers is not byte-identical to serial")
+	}
+	if runtime.NumCPU() >= 4 && speedup < 2 {
 		b.Fatalf("parallel corpus run only %.2fx faster at 4 workers on %d CPUs (want >=2x)",
-			rows[4].Speedup, runtime.NumCPU())
+			speedup, runtime.NumCPU())
 	}
 }
 
 var (
-	fedOnce sync.Once
-	fedRes  *evalrun.FederationResult
+	fedOnce                    sync.Once
+	fedSerial, fedPar, fedCold federation.Result
+	fedSerialMS, fedParMS      float64
 )
 
-// BenchmarkFederation regenerates the federated-sharding table: the
-// 10k-tenant fleet over 4 facilities, serial vs full-width. The
-// digest must be byte-identical at every worker count (the worker pool
-// only moves the wall clock), the fleet must drain, migrations must
-// flow, and warm-up must strictly cut the shared-pool restore traffic.
-// The >=2x speedup bar at 4 facility-workers holds only where 4 cores
-// exist, so — like BenchmarkSuiteParallel — it is gated on NumCPU; a
-// smaller box still checks identity and reports its speedup.
+// BenchmarkFederation times the 10k-tenant fleet over 4 facilities,
+// serial vs 4 facility-workers. The digest must be byte-identical at
+// both worker counts (the worker pool only moves the wall clock), the
+// fleet must migrate, and warm-up must strictly cut the shared-pool
+// restore traffic against a cold serial run. The >=2x speedup bar at 4
+// facility-workers holds only where 4 cores exist, so — like
+// BenchmarkSuiteParallel — it is gated on NumCPU; a smaller box still
+// checks identity and reports its speedup.
 func BenchmarkFederation(b *testing.B) {
+	cfg := federation.Config{Facilities: 4, Tenants: 10000, Seed: benchSeed, Migration: true}
+	timed := func(workers int, warm bool) (federation.Result, float64) {
+		c := cfg
+		c.Workers, c.WarmUp = workers, warm
+		start := time.Now()
+		r := federation.Run(c)
+		return *r, float64(time.Since(start).Nanoseconds()) / 1e6
+	}
 	for i := 0; i < b.N; i++ {
-		fedOnce.Do(func() { fedRes = evalrun.Federation(benchSeed, []int{10000}, []int{4}) })
+		fedOnce.Do(func() {
+			fedSerial, fedSerialMS = timed(1, true)
+			fedPar, fedParMS = timed(4, true)
+			fedCold, _ = timed(1, false)
+		})
 	}
-	var serial, par *evalrun.FederationRow
-	for i := range fedRes.Rows {
-		r := &fedRes.Rows[i]
-		if r.Workers == 1 {
-			serial = r
-		} else {
-			par = r
-		}
+	speedup := fedSerialMS / fedParMS
+	b.ReportMetric(fedSerialMS, "wallms-serial")
+	b.ReportMetric(fedParMS, "wallms-4workers")
+	b.ReportMetric(speedup, "x-speedup-4workers")
+	if fedPar.Digest != fedSerial.Digest {
+		b.Fatalf("digest at 4 workers diverged from serial: %s vs %s", fedPar.Digest, fedSerial.Digest)
 	}
-	if serial == nil || par == nil {
-		b.Fatal("missing serial or parallel row")
-	}
-	b.ReportMetric(serial.WallMS, "wallms-serial")
-	b.ReportMetric(par.WallMS, "wallms-4workers")
-	b.ReportMetric(par.Speedup, "x-speedup-4workers")
-	if !par.Identical {
-		b.Fatalf("digest at 4 workers diverged from serial: %s vs %s", par.Digest, serial.Digest)
-	}
-	if serial.Migrations == 0 {
+	if fedSerial.Migrations == 0 {
 		b.Fatal("sharded 10k fleet migrated nothing")
 	}
-	if len(fedRes.Warm) == 2 && fedRes.Warm[1].RemoteMB >= fedRes.Warm[0].RemoteMB {
+	if fedSerial.RemoteMB >= fedCold.RemoteMB {
 		b.Fatalf("warm-up did not cut remote restore traffic: %.1f MB warm vs %.1f MB cold",
-			fedRes.Warm[1].RemoteMB, fedRes.Warm[0].RemoteMB)
+			fedSerial.RemoteMB, fedCold.RemoteMB)
 	}
-	if runtime.NumCPU() >= 4 && par.Speedup < 2 {
+	if runtime.NumCPU() >= 4 && speedup < 2 {
 		b.Fatalf("federated run only %.2fx faster at 4 facility-workers on %d CPUs (want >=2x)",
-			par.Speedup, runtime.NumCPU())
+			speedup, runtime.NumCPU())
 	}
 }
 

@@ -8,141 +8,43 @@
 //	benchrunner -table swap
 //	benchrunner -fig 4 -seed 7 -quick
 //	benchrunner -all -quick -json > bench.json
-//	benchrunner -table scale -json -snapshot BENCH_scale.json -label "PR 6"
-//	benchrunner -table scale -cpuprofile cpu.pprof
 //
 // Each experiment is deterministic for a given seed; -quick shrinks the
 // workloads (fewer iterations, smaller files) for a fast sanity pass.
 // -json emits one object keyed by figure/table name with the measured
-// scalar results, for machine-readable tracking across revisions.
-// -snapshot appends this run's results (tagged -label) to a trajectory
-// file, so successive revisions accumulate comparable entries instead
-// of overwriting each other. -cpuprofile / -memprofile write pprof
-// profiles of the run for hot-path work (docs/scale.md).
+// scalar results. Every value is simulated, so two same-seed runs
+// print the same bytes; the -quick -json output of each key is pinned
+// by a golden under testdata/. Host time is measured by perfbench and
+// the Go benchmarks, not here.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"emucheck/internal/evalrun"
 )
 
-// snapshotSchema tags trajectory files; bump it only on breaking shape
-// changes (entries are append-only across revisions).
-const snapshotSchema = "emucheck-bench/v1"
-
-// snapshotFile is the persisted perf trajectory: one entry per
-// (label, figure/table) per recorded run, append-only.
-type snapshotFile struct {
-	Schema  string          `json:"schema"`
-	Entries []snapshotEntry `json:"entries"`
-}
-
-type snapshotEntry struct {
-	Label   string          `json:"label"`
-	Table   string          `json:"table"`
-	Seed    int64           `json:"seed"`
-	Results json.RawMessage `json:"results"`
-}
-
-// appendSnapshot loads path (if it exists), appends one entry per
-// result in key order, and rewrites the file. A (label, table) pair
-// already present in the trajectory is rejected — labels identify
-// revisions, so a silent duplicate would corrupt the trajectory's
-// meaning — unless replace is set, in which case the stale entries
-// are dropped and re-recorded.
-func appendSnapshot(path, label string, seed int64, keys []string, results map[string]any, replace bool) error {
-	snap := snapshotFile{Schema: snapshotSchema}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &snap); err != nil {
-			return fmt.Errorf("existing snapshot %s: %v", path, err)
-		}
-		if snap.Schema != snapshotSchema {
-			return fmt.Errorf("snapshot %s has schema %q, want %q", path, snap.Schema, snapshotSchema)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	recording := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		recording[k] = true
-	}
-	kept := snap.Entries[:0]
-	for _, e := range snap.Entries {
-		if e.Label == label && recording[e.Table] {
-			if !replace {
-				return fmt.Errorf("snapshot %s already has an entry for label %q, table %q (use -snapshot-replace to overwrite)",
-					path, label, e.Table)
-			}
-			continue
-		}
-		kept = append(kept, e)
-	}
-	snap.Entries = kept
-	for _, k := range keys {
-		raw, err := json.Marshal(results[k])
-		if err != nil {
-			return err
-		}
-		snap.Entries = append(snap.Entries, snapshotEntry{Label: label, Table: k, Seed: seed, Results: raw})
-	}
-	out, err := json.MarshalIndent(&snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-func main() {
+// cli is the whole command behind a testable seam: args excludes the
+// program name, output goes to the given writers, and the return value
+// is the process exit code.
+func cli(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchrunner", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		fig         = flag.Int("fig", 0, "figure number to regenerate (4-9)")
-		table       = flag.String("table", "", "table to regenerate: swap | freeblock | sync | dom0 | ablation | timeshare | branch | recovery | remediate | storage | scale | suite | suitebench | federation")
-		all         = flag.Bool("all", false, "regenerate everything")
-		seed        = flag.Int64("seed", 1, "simulation seed")
-		quick       = flag.Bool("quick", false, "reduced workload sizes")
-		fanout      = flag.Int("fanout", 4, "branch table fan-out")
-		asJSON      = flag.Bool("json", false, "emit results as JSON instead of tables")
-		snapshot    = flag.String("snapshot", "", "append results to this trajectory file (see BENCH_scale.json)")
-		label       = flag.String("label", "", "label for -snapshot entries (e.g. a PR or revision name)")
-		snapReplace = flag.Bool("snapshot-replace", false, "overwrite existing -snapshot entries with the same label and table instead of rejecting them")
-		cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memprofile  = flag.String("memprofile", "", "write a pprof heap profile after the run to this file")
+		fig    = fs.Int("fig", 0, "figure number to regenerate (4-9)")
+		table  = fs.String("table", "", "table to regenerate: swap | freeblock | sync | dom0 | ablation | timeshare | branch | recovery | remediate | storage | scale | suite | federation")
+		all    = fs.Bool("all", false, "regenerate everything")
+		seed   = fs.Int64("seed", 1, "simulation seed")
+		quick  = fs.Bool("quick", false, "reduced workload sizes")
+		fanout = fs.Int("fanout", 4, "branch table fan-out")
+		asJSON = fs.Bool("json", false, "emit results as JSON instead of tables")
 	)
-	flag.Parse()
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchrunner:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			}
-		}()
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
 
 	iters4, iters5 := 6000, 600
@@ -163,19 +65,15 @@ func main() {
 
 	type renderer interface{ Render() string }
 	results := make(map[string]any)
-	var resultKeys []string
-	ran := false
 	emit := func(key, title string, f func() renderer) {
-		ran = true
 		r := f()
 		results[key] = r
-		resultKeys = append(resultKeys, key)
 		if *asJSON {
 			return
 		}
-		fmt.Printf("== %s ==\n", title)
-		fmt.Print(r.Render())
-		fmt.Println()
+		fmt.Fprintf(stdout, "== %s ==\n", title)
+		fmt.Fprint(stdout, r.Render())
+		fmt.Fprintln(stdout)
 	}
 	run := func(n int, f func() renderer) {
 		if *all || *fig == n {
@@ -208,35 +106,33 @@ func main() {
 	if *quick {
 		scaleSizes = []int{16, 128}
 	}
-	runT("scale", "Oversubscription at scale: tenants vs throughput and decision cost", func() renderer { return evalrun.Scale(*seed, scaleSizes) })
+	runT("scale", "Oversubscription at scale: tenants vs completion and queueing", func() renderer { return evalrun.Scale(*seed, scaleSizes) })
 	suiteCount := 24
 	if *quick {
 		suiteCount = 12
 	}
 	runT("suite", "Scenario corpus under shared suite invariants", func() renderer { return evalrun.SuiteTable(*seed, suiteCount) })
-	runT("suitebench", "Corpus throughput: serial vs parallel workers", func() renderer { return evalrun.SuiteBench(*seed, suiteCount, nil) })
 	fedSizes, fedFacs := []int{1000, 10000}, []int{1, 2, 4, 8}
 	if *quick {
 		fedSizes, fedFacs = []int{200}, []int{1, 2}
 	}
 	runT("federation", "Federated facility sharding: conservative-window parallel fleets", func() renderer { return evalrun.Federation(*seed, fedSizes, fedFacs) })
 
-	if !ran {
-		flag.Usage()
-		os.Exit(2)
+	if len(results) == 0 {
+		fs.Usage()
+		return 2
 	}
 	if *asJSON {
 		out, err := json.MarshalIndent(results, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "benchrunner:", err)
+			return 1
 		}
-		fmt.Println(string(out))
+		fmt.Fprintln(stdout, string(out))
 	}
-	if *snapshot != "" {
-		if err := appendSnapshot(*snapshot, *label, *seed, resultKeys, results, *snapReplace); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-	}
+	return 0
+}
+
+func main() {
+	os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr))
 }

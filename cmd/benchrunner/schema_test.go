@@ -1,9 +1,7 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -11,14 +9,13 @@ import (
 	"testing"
 
 	"emucheck/internal/evalrun"
+	"emucheck/internal/golden"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden schema file")
-
 // benchSchema maps every figure/table key benchrunner can emit to the
-// result type marshaled under it. Adding an output to main() without
-// registering it here (and refreshing the golden with -update) fails
-// the shape test.
+// result type marshaled under it. Each key gets its field paths pinned
+// here and its -quick -json value pinned by TestQuickJSONGolden; an
+// output added to cli() must be registered here to be pinned at all.
 var benchSchema = map[string]any{
 	"fig4":       &evalrun.Fig4Result{},
 	"fig5":       &evalrun.Fig5Result{},
@@ -38,7 +35,6 @@ var benchSchema = map[string]any{
 	"storage":    &evalrun.StorageResult{},
 	"scale":      &evalrun.ScaleResult{},
 	"suite":      &evalrun.SuiteResult{},
-	"suitebench": &evalrun.SuiteBenchResult{},
 	"federation": &evalrun.FederationResult{},
 }
 
@@ -78,18 +74,23 @@ func fieldPaths(prefix string, t reflect.Type, out *[]string) {
 	}
 }
 
-// TestBenchJSONGoldenShape pins the BENCH_*.json schema: the flattened
-// field paths of every emitted result type must match the committed
-// golden. Regenerate deliberately with `go test ./cmd/benchrunner
-// -update` when the schema is meant to change.
-func TestBenchJSONGoldenShape(t *testing.T) {
+// benchKeys returns the registry's keys in sorted order.
+func benchKeys() []string {
 	keys := make([]string, 0, len(benchSchema))
 	for k := range benchSchema {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	return keys
+}
+
+// TestBenchJSONGoldenShape pins the -json schema: the flattened
+// field paths of every emitted result type must match the committed
+// golden. Regenerate deliberately with `go test ./cmd/benchrunner
+// -update` when the schema is meant to change.
+func TestBenchJSONGoldenShape(t *testing.T) {
 	var lines []string
-	for _, k := range keys {
+	for _, k := range benchKeys() {
 		var paths []string
 		fieldPaths(k, reflect.TypeOf(benchSchema[k]), &paths)
 		sort.Strings(paths)
@@ -97,21 +98,5 @@ func TestBenchJSONGoldenShape(t *testing.T) {
 	}
 	got := strings.Join(lines, "\n") + "\n"
 
-	golden := filepath.Join("testdata", "bench_schema.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if got != string(want) {
-		t.Fatalf("BENCH json schema drifted from %s.\nIf intentional, regenerate with -update and note the change.\n--- got ---\n%s--- want ---\n%s",
-			golden, got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "bench_schema.golden"), []byte(got))
 }

@@ -1,21 +1,18 @@
 // Command emucheck is the multi-experiment testbed driver: it loads
 // declarative scenario files (fleet of experiments + timed events +
 // assertions), validates them, and replays them deterministically on a
-// simulated Emulab cluster with a preemptive swap scheduler; it also
-// runs the multi-tenancy benchmark comparing stateful against classic
-// stateless swapping.
+// simulated Emulab cluster with a preemptive swap scheduler.
 //
 // Usage:
 //
 //	emucheck validate <scenario.json>
 //	emucheck run [-json] [-junit file] [-parallel N] <scenario.json>
-//	emucheck evalrun [-seed N] [-ticks N] [-json]
 //
 // Example scenarios live in examples/scenarios/ and are documented in
 // docs/scenarios.md. run exits nonzero when any scenario assertion
-// fails, so scripted scenarios double as integration checks. evalrun
-// compares incremental (dirty-delta), full-copy stateful, and classic
-// stateless swapping on an oversubscribed pool.
+// fails, so scripted scenarios double as integration checks; the
+// `run -json` output of each example is pinned by a golden under
+// testdata/.
 //
 // Scenario files with a "search" stanza run the state-search engine:
 // one experiment is checkpointed, forked into a gang-admitted branch
@@ -26,17 +23,17 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"emucheck/internal/evalrun"
 	"emucheck/internal/scenario"
 	"emucheck/internal/suite"
 )
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage: emucheck <command> [flags] [args]
+const usage = `usage: emucheck <command> [flags] [args]
 
 commands:
   validate <scenario.json>   check a scenario file without running it
@@ -46,40 +43,20 @@ commands:
                              shared invariants and writes JUnit XML, with
                              the run + replay pair executed on up to
                              -parallel workers (report unchanged)
-  evalrun [-seed N] [-ticks N] [-json]
-                             multi-tenancy benchmark: incremental vs
-                             full-copy vs stateless swapping
-`)
-	os.Exit(2)
+`
+
+// fail reports err on stderr and returns the exit code for it.
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "emucheck:", err)
+	return 1
 }
 
-func loadFile(path string) *scenario.File {
+func loadFile(path string) (*scenario.File, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "emucheck:", err)
-		os.Exit(1)
+		return nil, err
 	}
-	f, err := scenario.Parse(data)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "emucheck:", err)
-		os.Exit(1)
-	}
-	return f
-}
-
-func cmdValidate(args []string) {
-	if len(args) != 1 {
-		usage()
-	}
-	f := loadFile(args[0])
-	if errs := scenario.Validate(f); len(errs) > 0 {
-		for _, e := range errs {
-			fmt.Fprintln(os.Stderr, "invalid:", e)
-		}
-		os.Exit(1)
-	}
-	fmt.Printf("%s: ok (%d experiments, %d events, %d assertions)\n",
-		f.Name, len(f.Experiments), len(f.Events), len(f.Assertions))
+	return scenario.Parse(data)
 }
 
 // junitReport runs one scenario under the suite's shared invariants
@@ -99,88 +76,92 @@ func junitReport(f *scenario.File, source string, workers int) ([]byte, suite.Ru
 	return data, rr, err
 }
 
-func cmdRun(args []string) {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
+// cli is the whole command behind a testable seam: args excludes the
+// program name, output goes to the given writers, and the return value
+// is the process exit code.
+func cli(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprint(stderr, usage)
+		return 2
+	}
+	switch args[0] {
+	case "validate":
+		if len(args) != 2 {
+			fmt.Fprint(stderr, usage)
+			return 2
+		}
+		f, err := loadFile(args[1])
+		if err != nil {
+			return fail(stderr, err)
+		}
+		if errs := scenario.Validate(f); len(errs) > 0 {
+			for _, e := range errs {
+				fmt.Fprintln(stderr, "invalid:", e)
+			}
+			return 1
+		}
+		fmt.Fprintf(stdout, "%s: ok (%d experiments, %d events, %d assertions)\n",
+			f.Name, len(f.Experiments), len(f.Events), len(f.Assertions))
+		return 0
+	case "run":
+		return cmdRun(args[1:], stdout, stderr)
+	default:
+		fmt.Fprint(stderr, usage)
+		return 2
+	}
+}
+
+func cmdRun(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("run", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	asJSON := fs.Bool("json", false, "emit the result as JSON")
 	junitPath := fs.String("junit", "", "run under the suite invariants and write JUnit XML to this file")
 	parallel := fs.Int("parallel", 0, "with -junit: max concurrent executions of the run + replay pair (0 = GOMAXPROCS, 1 = serial)")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if fs.NArg() != 1 {
-		usage()
+		fmt.Fprint(stderr, usage)
+		return 2
+	}
+	f, err := loadFile(fs.Arg(0))
+	if err != nil {
+		return fail(stderr, err)
 	}
 	var res *scenario.Result
 	if *junitPath != "" {
 		// The suite runner replays the scenario for its determinism
 		// invariant, so the JUnit verdict covers more than the plain run.
-		data, rr, err := junitReport(loadFile(fs.Arg(0)), fs.Arg(0), *parallel)
+		data, rr, err := junitReport(f, fs.Arg(0), *parallel)
 		if err == nil {
 			err = os.WriteFile(*junitPath, data, 0o644)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "emucheck:", err)
-			os.Exit(1)
+			return fail(stderr, err)
 		}
 		if rr.Error != "" {
-			fmt.Fprintln(os.Stderr, "emucheck:", rr.Error)
-			os.Exit(1)
+			return fail(stderr, errors.New(rr.Error))
 		}
 		res = rr.Result
 		res.Pass = rr.Pass // fold invariant failures into the exit code
-	} else {
-		var err error
-		res, err = scenario.Run(loadFile(fs.Arg(0)))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "emucheck:", err)
-			os.Exit(1)
-		}
+	} else if res, err = scenario.Run(f); err != nil {
+		return fail(stderr, err)
 	}
 	if *asJSON {
 		out, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "emucheck:", err)
-			os.Exit(1)
+			return fail(stderr, err)
 		}
-		fmt.Println(string(out))
+		fmt.Fprintln(stdout, string(out))
 	} else {
-		fmt.Print(res.Render())
+		fmt.Fprint(stdout, res.Render())
 	}
 	if !res.Pass {
-		os.Exit(1)
+		return 1
 	}
-}
-
-func cmdEvalrun(args []string) {
-	fs := flag.NewFlagSet("evalrun", flag.ExitOnError)
-	seed := fs.Int64("seed", 1, "simulation seed")
-	ticks := fs.Int64("ticks", 0, "work per tenant in 100 ms ticks (0 = default 900)")
-	asJSON := fs.Bool("json", false, "emit the result as JSON")
-	fs.Parse(args)
-	r := evalrun.Timeshare(*seed, *ticks)
-	if *asJSON {
-		out, err := json.MarshalIndent(r, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "emucheck:", err)
-			os.Exit(1)
-		}
-		fmt.Println(string(out))
-		return
-	}
-	fmt.Println("== Multi-tenancy: incremental vs full-copy vs stateless swapping ==")
-	fmt.Print(r.Render())
+	return 0
 }
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-	}
-	switch os.Args[1] {
-	case "validate":
-		cmdValidate(os.Args[2:])
-	case "run":
-		cmdRun(os.Args[2:])
-	case "evalrun":
-		cmdEvalrun(os.Args[2:])
-	default:
-		usage()
-	}
+	os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr))
 }

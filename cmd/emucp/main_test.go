@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"emucheck/internal/golden"
 )
 
 func run(t *testing.T, args ...string) (int, string, string) {
@@ -82,4 +85,13 @@ func TestCLIBadFlag(t *testing.T) {
 	if code, _, _ := run(t, "-no-such-flag"); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
 	}
+}
+
+// TestDemoGolden pins the whole `emucp demo` narration.
+func TestDemoGolden(t *testing.T) {
+	code, stdout, stderr := run(t, "demo")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr)
+	}
+	golden.Check(t, filepath.Join("testdata", "demo.golden"), []byte(stdout))
 }

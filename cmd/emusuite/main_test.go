@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"emucheck/internal/golden"
 	"emucheck/internal/scenario"
 )
 
@@ -183,4 +184,46 @@ func TestCLIJUnit(t *testing.T) {
 			t.Fatalf("JUnit output missing %q:\n%s", want, data)
 		}
 	}
+}
+
+// TestMatrixJSONGolden pins `emusuite -seed 1 -count 64 -json` and
+// checks that -parallel 1 and -parallel 4 both print exactly it: the
+// worker pool may only move the host time, never the report.
+func TestMatrixJSONGolden(t *testing.T) {
+	var serial string
+	for _, parallel := range []string{"1", "4"} {
+		code, stdout, stderr := run(t, "-seed", "1", "-count", "64", "-parallel", parallel, "-json")
+		if code != 0 {
+			t.Fatalf("-parallel %s: exit %d, stderr: %s", parallel, code, stderr)
+		}
+		if serial == "" {
+			serial = stdout
+		} else if stdout != serial {
+			t.Fatalf("-parallel %s report differs from the serial one", parallel)
+		}
+		golden.Check(t, filepath.Join("testdata", "matrix_seed1_count64.golden"), []byte(stdout))
+	}
+}
+
+// TestExamplesJSONGolden pins `emusuite -dir examples/scenarios -json`
+// as run from the repository root, so the report's source paths read as
+// they do there.
+func TestExamplesJSONGolden(t *testing.T) {
+	path, err := filepath.Abs(filepath.Join("testdata", "examples.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(filepath.Join("..", "..")); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	code, stdout, stderr := run(t, "-dir", "examples/scenarios", "-json")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr)
+	}
+	golden.Check(t, path, []byte(stdout))
 }

@@ -21,9 +21,9 @@ type BranchModeRow struct {
 	// MulticastSavedMB is the unicast surplus the one-pass staging
 	// avoided (zero for the naive mode).
 	MulticastSavedMB float64 `json:"multicast_saved_mb"`
-	// AllRunningS is when the last branch entered service — the
-	// wall-clock cost of materializing the frontier (0 = never within
-	// the horizon).
+	// AllRunningS is the simulated second the last branch entered
+	// service — the time cost of materializing the frontier (0 = never
+	// within the horizon).
 	AllRunningS float64 `json:"all_running_s"`
 }
 

@@ -2,7 +2,6 @@ package evalrun
 
 import (
 	"fmt"
-	"time"
 
 	"emucheck/internal/federation"
 	"emucheck/internal/metrics"
@@ -10,18 +9,14 @@ import (
 
 // FederationRow is one (fleet size, facilities, workers) cell of the
 // federated-sharding benchmark: the same fleet run as a conservative
-// parallel simulation. Wall-clock fields measure this machine;
-// everything else — including the digest — is bit-deterministic under
-// (config, seed), and Identical is the portable claim: the worker
-// count cannot change the simulation, only the wall-clock.
+// parallel simulation. Every field — including the digest — is
+// bit-deterministic under (config, seed), and Identical is the
+// portable claim: the worker count cannot change the simulation, only
+// the host time (which BenchmarkFederation measures).
 type FederationRow struct {
-	Tenants    int     `json:"tenants"`
-	Facilities int     `json:"facilities"`
-	Workers    int     `json:"workers"`
-	WallMS     float64 `json:"wall_ms"`
-	// Speedup is the same-sharding serial (workers=1) wall time over
-	// this row's wall time.
-	Speedup float64 `json:"speedup_vs_serial"`
+	Tenants    int `json:"tenants"`
+	Facilities int `json:"facilities"`
+	Workers    int `json:"workers"`
 	// Identical reports this row's digest byte-equal to the
 	// same-sharding serial reference's.
 	Identical  bool    `json:"digest_identical"`
@@ -58,18 +53,15 @@ type FederationResult struct {
 	Warm           []FederationWarmRow `json:"warm_rows"`
 }
 
-// runFederation runs one cell and wall-clocks it.
+// runFederation runs one cell.
 func runFederation(seed int64, tenants, facilities, workers int) FederationRow {
-	start := time.Now()
 	r := federation.Run(federation.Config{
 		Facilities: facilities, Tenants: tenants, Seed: seed,
 		Workers: workers, Migration: true, WarmUp: true,
 	})
-	wall := time.Since(start)
 	return FederationRow{
 		Tenants: tenants, Facilities: facilities, Workers: workers,
-		WallMS: float64(wall.Nanoseconds()) / 1e6,
-		SimS:   r.SimS, Events: r.Events, Windows: r.Windows,
+		SimS: r.SimS, Events: r.Events, Windows: r.Windows,
 		Migrations: r.Migrations, WANMB: r.WANMB, Digest: r.Digest,
 	}
 }
@@ -89,7 +81,6 @@ func Federation(seed int64, sizes, facilities []int) *FederationResult {
 	for _, n := range sizes {
 		for _, f := range facilities {
 			serial := runFederation(seed, n, f, 1)
-			serial.Speedup = 1
 			serial.Identical = true
 			res.Rows = append(res.Rows, serial)
 			if f == 1 {
@@ -97,9 +88,6 @@ func Federation(seed int64, sizes, facilities []int) *FederationResult {
 			}
 			par := runFederation(seed, n, f, f)
 			par.Identical = par.Digest == serial.Digest
-			if par.WallMS > 0 {
-				par.Speedup = serial.WallMS / par.WallMS
-			}
 			res.Rows = append(res.Rows, par)
 		}
 	}
@@ -128,15 +116,14 @@ func Federation(seed int64, sizes, facilities []int) *FederationResult {
 // Render prints the sharding curve and the warm-up comparison.
 func (r *FederationResult) Render() string {
 	t := &metrics.Table{Header: []string{
-		"tenants", "facilities", "workers", "wall (ms)", "speedup", "identical",
+		"tenants", "facilities", "workers", "identical",
 		"sim (s)", "events", "windows", "migrations", "wan MB", "digest"}}
 	for _, row := range r.Rows {
-		t.AddRow(row.Tenants, row.Facilities, row.Workers,
-			fmt.Sprintf("%.0f", row.WallMS), fmt.Sprintf("%.2fx", row.Speedup),
-			row.Identical, fmt.Sprintf("%.0f", row.SimS), row.Events,
-			row.Windows, row.Migrations, fmt.Sprintf("%.0f", row.WANMB), row.Digest)
+		t.AddRow(row.Tenants, row.Facilities, row.Workers, row.Identical,
+			fmt.Sprintf("%.0f", row.SimS), row.Events, row.Windows, row.Migrations,
+			fmt.Sprintf("%.0f", row.WANMB), row.Digest)
 	}
-	s := fmt.Sprintf("seed %d; conservative windows, WAN-coupled facilities; speedup vs same-sharding serial\n", r.Seed)
+	s := fmt.Sprintf("seed %d; conservative windows, WAN-coupled facilities; identical = digest equals the same-sharding serial run\n", r.Seed)
 	s += t.String()
 
 	w := &metrics.Table{Header: []string{

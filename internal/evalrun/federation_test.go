@@ -5,15 +5,6 @@ import (
 	"testing"
 )
 
-// stripFederationWall zeroes this machine's wall-clock measurements so
-// the rest of the result can be byte-compared across runs.
-func stripFederationWall(r *FederationResult) {
-	for i := range r.Rows {
-		r.Rows[i].WallMS = 0
-		r.Rows[i].Speedup = 0
-	}
-}
-
 // TestFederationGoldenShape pins the benchmark's structure on a small
 // fleet: one serial row per facility count, one full-width parallel row
 // per sharded count, every parallel digest byte-identical to its serial
@@ -49,13 +40,11 @@ func TestFederationGoldenShape(t *testing.T) {
 	}
 }
 
-// TestFederationDeterministic: everything but the wall clock is a pure
-// function of (config, seed).
+// TestFederationDeterministic: the whole result is a pure function of
+// (config, seed).
 func TestFederationDeterministic(t *testing.T) {
 	enc := func() string {
-		r := Federation(5, []int{80}, []int{1, 2})
-		stripFederationWall(r)
-		b, err := json.Marshal(r)
+		b, err := json.Marshal(Federation(5, []int{80}, []int{1, 2}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,49 +52,5 @@ func TestFederationDeterministic(t *testing.T) {
 	}
 	if a, b := enc(), enc(); a != b {
 		t.Fatalf("same-seed federation results diverged:\n%s\n%s", a, b)
-	}
-}
-
-// stripSuiteBenchWall zeroes the wall-clock throughput fields.
-func stripSuiteBenchWall(r *SuiteBenchResult) {
-	for i := range r.Rows {
-		r.Rows[i].WallMS = 0
-		r.Rows[i].ScenariosPerS = 0
-		r.Rows[i].Speedup = 0
-	}
-}
-
-// TestSuiteBenchGoldenShape: one row per worker width, every report
-// byte-identical to the serial one, and the PR 8 claim that the event
-// core's steady state allocates nothing.
-func TestSuiteBenchGoldenShape(t *testing.T) {
-	r := SuiteBench(1, 2, []int{1, 2})
-	if len(r.Rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(r.Rows))
-	}
-	for _, row := range r.Rows {
-		if !row.Identical {
-			t.Fatalf("workers=%d report is not byte-identical to serial", row.Workers)
-		}
-	}
-	if r.AllocsPerEvent != 0 {
-		t.Fatalf("event core steady state allocates %.0f/event, want 0", r.AllocsPerEvent)
-	}
-}
-
-// TestSuiteBenchDeterministic: with wall-clock fields stripped, the
-// benchmark is seed-pure.
-func TestSuiteBenchDeterministic(t *testing.T) {
-	enc := func() string {
-		r := SuiteBench(7, 2, []int{1, 2})
-		stripSuiteBenchWall(r)
-		b, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	if a, b := enc(), enc(); a != b {
-		t.Fatalf("same-seed suitebench results diverged:\n%s\n%s", a, b)
 	}
 }

@@ -61,8 +61,8 @@ func TestScaleDeterministicAt1k(t *testing.T) {
 
 // TestScaleIsOneFacilityFederation pins the scale table to the
 // federation fleet: each row is the one-facility federation run, digest
-// for digest, and the 1k row matches the digest committed in
-// BENCH_federation.json.
+// for digest, and the 1k row matches the digest first recorded for the
+// 1k one-facility federation run.
 func TestScaleIsOneFacilityFederation(t *testing.T) {
 	for _, n := range []int{16, 128} {
 		row := Scale(1, []int{n}).Rows[0]

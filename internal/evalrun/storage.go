@@ -24,8 +24,8 @@ type StorageModeRow struct {
 	MovedMB float64 `json:"moved_mb"`
 	// HitRatio is the delta cache's hit ratio (0 for uncached).
 	HitRatio float64 `json:"cache_hit_ratio"`
-	// MeanRestoreS is the mean wall time from a fleet-wide resume to
-	// every tenant running again.
+	// MeanRestoreS is the mean simulated seconds from a fleet-wide
+	// resume to every tenant running again.
 	MeanRestoreS float64 `json:"mean_restore_s"`
 }
 

@@ -9,9 +9,9 @@ type SuiteResult = suite.Report
 
 // SuiteTable runs the generated scenario corpus under the suite
 // runner's shared invariants and reports per-scenario verdicts plus
-// axis coverage. Unlike the perf tables it measures no wall clock:
-// its value as a benchmark artifact is the determinism ledger itself
-// (every digest reproducible from the seed) and the coverage counts.
+// axis coverage: its value as a benchmark artifact is the determinism
+// ledger itself (every digest reproducible from the seed) and the
+// coverage counts.
 func SuiteTable(seed int64, count int) *SuiteResult {
 	return suite.RunMatrix(seed, count)
 }

@@ -470,8 +470,8 @@ func RunFiles(files []*scenario.File, sources []string) *Report {
 // assembled strictly in input order, and nothing in a RunReport
 // depends on scheduling, so the report — and its emusuite/v1 JSON and
 // JUnit renderings — is byte-identical to a serial run's. Speedup is
-// observable only on the wall clock (and in the suitebench table);
-// the report deliberately has nowhere to record it.
+// observable only on the host clock (BenchmarkSuiteParallel measures
+// it); the report deliberately has nowhere to record it.
 func RunFilesParallel(files []*scenario.File, sources []string, workers int) *Report {
 	pool := newSem(workers)
 	runs := make([]RunReport, len(files))

@@ -1,19 +1,16 @@
 package swap
 
 import (
-	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
+	"emucheck/internal/golden"
 	"emucheck/internal/sim"
 	"emucheck/internal/storage"
 )
-
-var update = flag.Bool("update", false, "rewrite the swap-matrix golden file")
 
 // matrixCase is one swap configuration the golden pins: the transfer
 // mode plus the storage tier (nil: untiered) and delta cache behind it.
@@ -177,28 +174,5 @@ func TestSwapMatrixGolden(t *testing.T) {
 	for _, c := range matrixCases() {
 		fmt.Fprintf(&b, "== %s\n%s", c.name, runMatrixCase(c))
 	}
-	got := b.String()
-	path := filepath.Join("testdata", "swap_matrix.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("swap matrix drifted at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("swap matrix drifted: %d lines, want %d", len(gl), len(wl))
-	}
+	golden.Check(t, filepath.Join("testdata", "swap_matrix.golden"), []byte(b.String()))
 }
