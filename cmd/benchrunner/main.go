@@ -24,6 +24,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
+	"strings"
 
 	"emucheck/internal/evalrun"
 )
@@ -47,76 +49,24 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	iters4, iters5 := 6000, 600
-	fileMB7 := int64(3 << 10) // the paper's 3 GB torrent
-	fileMB8 := int64(512)
-	copyMB9 := int64(512)
-	ticksTS := int64(0) // timeshare default: 900 ticks per tenant
-	if *quick {
-		iters4, iters5 = 1500, 150
-		fileMB7 = 512
-		fileMB8 = 256
-		copyMB9 = 256
-		// ticksTS stays at the default: a shorter target parks each
-		// tenant at most once, and a first swap-out is always a full
-		// save, which would erase the incremental-vs-full comparison
-		// the timeshare table exists to show.
-	}
-
-	type renderer interface{ Render() string }
 	results := make(map[string]any)
-	emit := func(key, title string, f func() renderer) {
-		r := f()
-		results[key] = r
-		if *asJSON {
-			return
+	for _, o := range outputs(*seed, *quick, *fanout) {
+		want := *table
+		if strings.HasPrefix(o.key, "fig") {
+			want = fmt.Sprintf("fig%d", *fig)
 		}
-		fmt.Fprintf(stdout, "== %s ==\n", title)
+		if !*all && o.key != want {
+			continue
+		}
+		r := o.run()
+		results[o.key] = r
+		if *asJSON {
+			continue
+		}
+		fmt.Fprintf(stdout, "== %s ==\n", o.title)
 		fmt.Fprint(stdout, r.Render())
 		fmt.Fprintln(stdout)
 	}
-	run := func(n int, f func() renderer) {
-		if *all || *fig == n {
-			emit(fmt.Sprintf("fig%d", n), fmt.Sprintf("Figure %d", n), f)
-		}
-	}
-	runT := func(name, title string, f func() renderer) {
-		if *all || *table == name {
-			emit(name, title, f)
-		}
-	}
-
-	run(4, func() renderer { return evalrun.Fig4(*seed, iters4) })
-	run(5, func() renderer { return evalrun.Fig5(*seed, iters5) })
-	run(6, func() renderer { return evalrun.Fig6(*seed) })
-	run(7, func() renderer { return evalrun.Fig7(*seed, fileMB7) })
-	run(8, func() renderer { return evalrun.Fig8(*seed, fileMB8) })
-	run(9, func() renderer { return evalrun.Fig9(*seed, copyMB9) })
-	runT("swap", "Stateful swapping (§7.2)", func() renderer { return evalrun.SwapTable(*seed) })
-	runT("freeblock", "Free-block elimination (§5.1)", func() renderer { return evalrun.FreeBlockTable(*seed) })
-	runT("sync", "Checkpoint synchronization (§4.3)", func() renderer { return evalrun.SyncTable(*seed) })
-	runT("dom0", "Dom0 interference (§7.1)", func() renderer { return evalrun.Dom0Jobs(*seed) })
-	runT("ablation", "Ablation: delay-node capture (§4.4)", func() renderer { return evalrun.AblationDelayNode(*seed) })
-	runT("timeshare", "Multi-tenancy: incremental vs full-copy vs stateless swapping", func() renderer { return evalrun.Timeshare(*seed, ticksTS) })
-	runT("branch", "Branch fan-out: shared-lineage vs naive per-branch full copies", func() renderer { return evalrun.BranchTable(*seed, *fanout) })
-	runT("recovery", "Crash recovery: checkpoint epochs vs restart-from-scratch", func() renderer { return evalrun.Recovery(*seed, *quick) })
-	runT("remediate", "Unattended remediation: health-loop policies vs scripted recovery vs restart", func() renderer { return evalrun.Remediate(*seed, *quick) })
-	runT("storage", "Tiered chain storage: cached vs uncached restores at fan-out", func() renderer { return evalrun.StorageTable(*seed, *fanout) })
-	scaleSizes := []int{16, 128, 1000, 10000}
-	if *quick {
-		scaleSizes = []int{16, 128}
-	}
-	runT("scale", "Oversubscription at scale: tenants vs completion and queueing", func() renderer { return evalrun.Scale(*seed, scaleSizes) })
-	suiteCount := 24
-	if *quick {
-		suiteCount = 12
-	}
-	runT("suite", "Scenario corpus under shared suite invariants", func() renderer { return evalrun.SuiteTable(*seed, suiteCount) })
-	fedSizes, fedFacs := []int{1000, 10000}, []int{1, 2, 4, 8}
-	if *quick {
-		fedSizes, fedFacs = []int{200}, []int{1, 2}
-	}
-	runT("federation", "Federated facility sharding: conservative-window parallel fleets", func() renderer { return evalrun.Federation(*seed, fedSizes, fedFacs) })
 
 	if len(results) == 0 {
 		fs.Usage()
@@ -131,6 +81,68 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, string(out))
 	}
 	return 0
+}
+
+type renderer interface{ Render() string }
+
+// output is one figure or table: its -json key, its text title, the
+// result type its run returns (the schema golden pins its fields).
+type output struct {
+	key, title string
+	typ        reflect.Type
+	run        func() renderer
+}
+
+// entry builds an output whose type is the one run returns.
+func entry[T renderer](key, title string, run func() T) output {
+	return output{key, title, reflect.TypeFor[T](), func() renderer { return run() }}
+}
+
+// outputs is the one registry of benchrunner's figures and tables, in
+// emission order; the value and schema goldens cover every key in it.
+func outputs(seed int64, quick bool, fanout int) []output {
+	iters4, iters5 := 6000, 600
+	fileMB7 := int64(3 << 10) // the paper's 3 GB torrent
+	fileMB8 := int64(512)
+	copyMB9 := int64(512)
+	ticksTS := int64(0) // timeshare default: 900 ticks per tenant
+	scaleSizes := []int{16, 128, 1000, 10000}
+	suiteCount := 24
+	fedSizes, fedFacs := []int{1000, 10000}, []int{1, 2, 4, 8}
+	if quick {
+		iters4, iters5 = 1500, 150
+		fileMB7 = 512
+		fileMB8 = 256
+		copyMB9 = 256
+		// ticksTS stays at the default: a shorter target parks each
+		// tenant at most once, and a first swap-out is always a full
+		// save, which would erase the incremental-vs-full comparison
+		// the timeshare table exists to show.
+		scaleSizes = []int{16, 128}
+		suiteCount = 12
+		fedSizes, fedFacs = []int{200}, []int{1, 2}
+	}
+	return []output{
+		entry("fig4", "Figure 4", func() *evalrun.Fig4Result { return evalrun.Fig4(seed, iters4) }),
+		entry("fig5", "Figure 5", func() *evalrun.Fig5Result { return evalrun.Fig5(seed, iters5) }),
+		entry("fig6", "Figure 6", func() *evalrun.Fig6Result { return evalrun.Fig6(seed) }),
+		entry("fig7", "Figure 7", func() *evalrun.Fig7Result { return evalrun.Fig7(seed, fileMB7) }),
+		entry("fig8", "Figure 8", func() *evalrun.Fig8Result { return evalrun.Fig8(seed, fileMB8) }),
+		entry("fig9", "Figure 9", func() *evalrun.Fig9Result { return evalrun.Fig9(seed, copyMB9) }),
+		entry("swap", "Stateful swapping (§7.2)", func() *evalrun.SwapTableResult { return evalrun.SwapTable(seed) }),
+		entry("freeblock", "Free-block elimination (§5.1)", func() *evalrun.FreeBlockResult { return evalrun.FreeBlockTable(seed) }),
+		entry("sync", "Checkpoint synchronization (§4.3)", func() *evalrun.SyncResult { return evalrun.SyncTable(seed) }),
+		entry("dom0", "Dom0 interference (§7.1)", func() *evalrun.Dom0JobsResult { return evalrun.Dom0Jobs(seed) }),
+		entry("ablation", "Ablation: delay-node capture (§4.4)", func() *evalrun.AblationResult { return evalrun.AblationDelayNode(seed) }),
+		entry("timeshare", "Multi-tenancy: incremental vs full-copy vs stateless swapping", func() *evalrun.TimeshareResult { return evalrun.Timeshare(seed, ticksTS) }),
+		entry("branch", "Branch fan-out: shared-lineage vs naive per-branch full copies", func() *evalrun.BranchResult { return evalrun.BranchTable(seed, fanout) }),
+		entry("recovery", "Crash recovery: checkpoint epochs vs restart-from-scratch", func() *evalrun.RecoveryResult { return evalrun.Recovery(seed, quick) }),
+		entry("remediate", "Unattended remediation: health-loop policies vs scripted recovery vs restart", func() *evalrun.RemediateResult { return evalrun.Remediate(seed, quick) }),
+		entry("storage", "Tiered chain storage: cached vs uncached restores at fan-out", func() *evalrun.StorageResult { return evalrun.StorageTable(seed, fanout) }),
+		entry("scale", "Oversubscription at scale: tenants vs completion and queueing", func() *evalrun.ScaleResult { return evalrun.Scale(seed, scaleSizes) }),
+		entry("suite", "Scenario corpus under shared suite invariants", func() *evalrun.SuiteResult { return evalrun.SuiteTable(seed, suiteCount) }),
+		entry("federation", "Federated facility sharding: conservative-window parallel fleets", func() *evalrun.FederationResult { return evalrun.Federation(seed, fedSizes, fedFacs) }),
+	}
 }
 
 func main() {

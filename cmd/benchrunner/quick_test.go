@@ -12,8 +12,9 @@ import (
 // TestQuickJSONGolden pins `benchrunner -quick -json` for each key, one
 // golden per key. Every value is simulated, so any drift — a moved
 // digest, a recalibrated figure — fails here and shows as the golden
-// diff. The keys are benchSchema's and run as parallel subtests: figs
-// 6 and 7 dominate.
+// diff. The keys come from outputs, cli's one registry, so a new
+// output cannot escape a golden; they run as parallel subtests, and
+// figs 6 and 7 dominate.
 func TestQuickJSONGolden(t *testing.T) {
 	for _, key := range benchKeys() {
 		t.Run(key, func(t *testing.T) {

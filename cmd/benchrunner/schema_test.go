@@ -8,35 +8,8 @@ import (
 	"strings"
 	"testing"
 
-	"emucheck/internal/evalrun"
 	"emucheck/internal/golden"
 )
-
-// benchSchema maps every figure/table key benchrunner can emit to the
-// result type marshaled under it. Each key gets its field paths pinned
-// here and its -quick -json value pinned by TestQuickJSONGolden; an
-// output added to cli() must be registered here to be pinned at all.
-var benchSchema = map[string]any{
-	"fig4":       &evalrun.Fig4Result{},
-	"fig5":       &evalrun.Fig5Result{},
-	"fig6":       &evalrun.Fig6Result{},
-	"fig7":       &evalrun.Fig7Result{},
-	"fig8":       &evalrun.Fig8Result{},
-	"fig9":       &evalrun.Fig9Result{},
-	"swap":       &evalrun.SwapTableResult{},
-	"freeblock":  &evalrun.FreeBlockResult{},
-	"sync":       &evalrun.SyncResult{},
-	"dom0":       &evalrun.Dom0JobsResult{},
-	"ablation":   &evalrun.AblationResult{},
-	"timeshare":  &evalrun.TimeshareResult{},
-	"branch":     &evalrun.BranchResult{},
-	"recovery":   &evalrun.RecoveryResult{},
-	"remediate":  &evalrun.RemediateResult{},
-	"storage":    &evalrun.StorageResult{},
-	"scale":      &evalrun.ScaleResult{},
-	"suite":      &evalrun.SuiteResult{},
-	"federation": &evalrun.FederationResult{},
-}
 
 // fieldPaths flattens a type into "path: kind" lines, honoring json
 // tags, so any rename, removal, or retyping of a marshaled field shows
@@ -74,11 +47,11 @@ func fieldPaths(prefix string, t reflect.Type, out *[]string) {
 	}
 }
 
-// benchKeys returns the registry's keys in sorted order.
+// benchKeys returns the keys of cli's output registry in sorted order.
 func benchKeys() []string {
-	keys := make([]string, 0, len(benchSchema))
-	for k := range benchSchema {
-		keys = append(keys, k)
+	var keys []string
+	for _, o := range outputs(1, true, 4) {
+		keys = append(keys, o.key)
 	}
 	sort.Strings(keys)
 	return keys
@@ -89,10 +62,12 @@ func benchKeys() []string {
 // golden. Regenerate deliberately with `go test ./cmd/benchrunner
 // -update` when the schema is meant to change.
 func TestBenchJSONGoldenShape(t *testing.T) {
+	outs := outputs(1, true, 4)
+	sort.Slice(outs, func(i, j int) bool { return outs[i].key < outs[j].key })
 	var lines []string
-	for _, k := range benchKeys() {
+	for _, o := range outs {
 		var paths []string
-		fieldPaths(k, reflect.TypeOf(benchSchema[k]), &paths)
+		fieldPaths(o.key, o.typ, &paths)
 		sort.Strings(paths)
 		lines = append(lines, paths...)
 	}

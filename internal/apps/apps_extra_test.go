@@ -3,6 +3,7 @@ package apps
 import (
 	"testing"
 
+	"emucheck/internal/dummynet"
 	"emucheck/internal/guest"
 	"emucheck/internal/node"
 	"emucheck/internal/sim"
@@ -20,9 +21,10 @@ func TestIperfDetectsLoss(t *testing.T) {
 	mb := node.NewMachine(s, "rcv", p)
 	ka := guest.New(ma, p, guest.DefaultConfig())
 	kb := guest.New(mb, p, guest.DefaultConfig())
-	wa := simnet.NewWire(s, sim.Millisecond, mb.ExpNIC)
-	wa.SetLoss(0.005)
-	ma.ExpNIC.Attach(wa)
+	// Link loss is a delay-node pipe's PLR, as on a shaped Emulab link.
+	lossy := dummynet.NewPipe(s, "loss", 0, sim.Millisecond, mb.ExpNIC)
+	lossy.PLR = 0.005
+	ma.ExpNIC.Attach(simnet.NewWire(s, 0, lossy))
 	mb.ExpNIC.Attach(simnet.NewWire(s, sim.Millisecond, ma.ExpNIC))
 	ip := NewIperf(ka, kb)
 	ip.Start(8 << 20)

@@ -26,7 +26,7 @@ func linkedKernels(seed int64, names []string, rate simnet.Bitrate) (*sim.Simula
 	for _, n := range names {
 		m := node.NewMachine(s, n, p)
 		k := guest.New(m, p, guest.DefaultConfig())
-		m.ExpNIC.Attach(sw)
+		m.ExpNIC.Attach(sw.Ingress())
 		sw.Connect(m.ExpNIC.Addr(), m.ExpNIC)
 		ks = append(ks, k)
 	}

@@ -28,14 +28,6 @@ func starRig(seed int64, leaves int) (*sim.Simulator, *Coordinator, []*guest.Ker
 	members := []*Member{{Name: "hub", HV: hubHV}}
 	kernels := []*guest.Kernel{hubK}
 
-	// Hub routes by destination across its spokes.
-	hubRoutes := make(map[simnet.Addr]simnet.Port)
-	hub.ExpNIC.Attach(simnet.PortFunc(func(pkt *simnet.Packet) {
-		if out, ok := hubRoutes[pkt.Dst]; ok {
-			out.Accept(pkt)
-		}
-	}))
-
 	var dns []*dummynet.DelayNode
 	for i := 0; i < leaves; i++ {
 		name := string(rune('a' + i))
@@ -45,7 +37,8 @@ func starRig(seed int64, leaves int) (*sim.Simulator, *Coordinator, []*guest.Ker
 		dn := dummynet.NewDelayNode(s, "dn-"+name, 100*simnet.Mbps, 3*sim.Millisecond)
 		m.ExpNIC.Attach(simnet.NewWire(s, sim.Microsecond, dn.Forward))
 		dn.AttachForward(hub.ExpNIC)
-		hubRoutes[m.ExpNIC.Addr()] = simnet.NewWire(s, sim.Microsecond, dn.Reverse)
+		// Hub routes by destination across its spokes.
+		hub.ExpNIC.Route(m.ExpNIC.Addr(), simnet.NewWire(s, sim.Microsecond, dn.Reverse))
 		dn.AttachReverse(m.ExpNIC)
 		y.Start(name)
 		y.Start(dn.Name)

@@ -1,11 +1,14 @@
 // Package dummynet models the FreeBSD Dummynet traffic-shaping subsystem
 // that Emulab delay nodes run (Rizzo 1997, paper §2, §4.4).
 //
-// A Pipe shapes one direction of an emulated link: packets first wait in
-// a bounded FIFO "router queue", drain through a bandwidth stage (one
+// A Pipe shapes one direction of an emulated link: packets wait in a
+// bounded FIFO "router queue", drain through a bandwidth stage (one
 // packet transmitting at a time at the configured rate), and then sit in
 // a delay line for the link's propagation delay before being emitted
-// downstream.
+// downstream. Both stages are exact functions of acceptance order, so
+// Accept computes txEnd = max(now, previous txEnd) + tx and emission at
+// txEnd + Delay, and arms one timer: one event per packet. A packet is
+// in the router queue until txEnd and in the delay line after.
 //
 // The package implements the paper's delay-node checkpoint: a live,
 // non-destructive serialization of the whole pipe hierarchy — every
@@ -25,18 +28,19 @@ import (
 // DefaultQueueSlots matches Dummynet's default 50-slot router queue.
 const DefaultQueueSlots = 50
 
-// inflight is a packet in the delay line, due to be emitted at emit
-// by its own timer. Entries are pooled per pipe: an emitted entry goes
-// back to the pipe's free list with its timer, so a packet crossing the
-// delay line allocates nothing.
-type inflight struct {
-	p    *Pipe
-	pkt  *simnet.Packet
-	emit sim.Time // absolute, in real simulation time
-	tm   sim.Timer
+// entry is one accepted packet on its way through the pipe, emitted at
+// emit by its own timer. Entries are pooled per pipe: an emitted entry
+// goes back to the pipe's free list with its timer, so a packet crossing
+// the pipe allocates nothing.
+type entry struct {
+	p     *Pipe
+	pkt   *simnet.Packet
+	txEnd sim.Time // when the bandwidth stage finishes the packet
+	emit  sim.Time // txEnd + Delay; both in real simulation time
+	tm    sim.Timer
 }
 
-func (fl *inflight) fire() { fl.p.emit(fl) }
+func (e *entry) fire() { e.p.emit(e) }
 
 // Pipe is one shaping stage: bandwidth + delay + loss + bounded queue.
 type Pipe struct {
@@ -50,11 +54,12 @@ type Pipe struct {
 	PLR       float64 // packet loss rate in [0,1]
 	Slots     int     // router queue capacity in packets
 
-	queue   []*simnet.Packet // router queue; head is transmitting next
-	headTx  sim.Timer        // bandwidth-stage completion of the head
-	headEnd sim.Time         // when the head packet finishes transmitting
-	line    []*inflight      // delay line, in entry order
-	free    []*inflight      // emitted entries for reuse
+	// ents holds the packets inside in acceptance order: ents[:cur] is
+	// the delay line (txEnd has passed) and ents[cur:] the router queue,
+	// head transmitting. txEnd never decreases along it.
+	ents []*entry
+	cur  int
+	free []*entry // emitted entries for reuse
 
 	frozen   bool
 	frozeAt  sim.Time
@@ -69,115 +74,105 @@ type Pipe struct {
 
 // NewPipe creates a shaping pipe feeding out.
 func NewPipe(s *sim.Simulator, name string, bw simnet.Bitrate, delay sim.Time, out simnet.Port) *Pipe {
-	p := &Pipe{
+	return &Pipe{
 		name: name, sim: s, out: out,
 		Bandwidth: bw, Delay: delay, Slots: DefaultQueueSlots,
 	}
-	s.InitTimer(&p.headTx, name+".tx", p.finishHead)
-	return p
 }
 
-// Name reports the pipe's configured name.
-func (p *Pipe) Name() string { return p.name }
+// advance moves the queue/delay-line boundary past every packet whose
+// transmission has ended. A frozen pipe's boundary stands still.
+func (p *Pipe) advance() {
+	if p.frozen {
+		return
+	}
+	now := p.sim.Now()
+	for p.cur < len(p.ents) && p.ents[p.cur].txEnd <= now {
+		p.cur++
+	}
+}
 
 // QueueLen reports packets waiting in (or transmitting from) the router
 // queue.
-func (p *Pipe) QueueLen() int { return len(p.queue) }
+func (p *Pipe) QueueLen() int {
+	p.advance()
+	return len(p.ents) - p.cur
+}
 
 // InFlight reports packets currently in the delay line — the
 // bandwidth-delay product the paper's delay-node checkpoint captures.
-func (p *Pipe) InFlight() int { return len(p.line) }
+func (p *Pipe) InFlight() int {
+	p.advance()
+	return p.cur
+}
 
 // Accept implements simnet.Port: a packet enters the router queue.
 func (p *Pipe) Accept(pkt *simnet.Packet) {
-	if p.frozen {
-		// A frozen delay node is checkpoint-quiesced; with synchronized
-		// checkpoints the endpoints are frozen too, so this only happens
-		// inside the skew window. Queue the packet if there is room: it
-		// is part of the captured network state.
-		if len(p.queue) >= p.Slots {
-			p.Dropped++
-			return
-		}
-		p.Enqueued++
-		p.queue = append(p.queue, pkt)
-		return
-	}
-	if p.PLR > 0 && p.sim.Rand().Float64() < p.PLR {
+	// A frozen pipe is checkpoint-quiesced, so it only sees packets
+	// inside the skew window; it queues them if there is room (they are
+	// captured network state) without a PLR draw, and Thaw times them.
+	if !p.frozen && p.PLR > 0 && p.sim.Rand().Float64() < p.PLR {
 		p.PLRDrops++
 		return
 	}
-	if len(p.queue) >= p.Slots {
+	if p.QueueLen() >= p.Slots {
 		p.Dropped++
 		return
 	}
 	p.Enqueued++
-	p.queue = append(p.queue, pkt)
-	if len(p.queue) == 1 {
-		p.startHead()
+	start := p.sim.Now()
+	if n := len(p.ents); n > 0 && p.ents[n-1].txEnd > start {
+		start = p.ents[n-1].txEnd
+	}
+	e := p.entry(pkt)
+	if !p.frozen {
+		p.arm(e, start+p.Bandwidth.TxTime(pkt.Size))
 	}
 }
 
-// startHead begins the bandwidth stage for the queue head.
-func (p *Pipe) startHead() {
-	if len(p.queue) == 0 || p.frozen {
-		return
-	}
-	tx := p.Bandwidth.TxTime(p.queue[0].Size)
-	p.headEnd = p.sim.Now() + tx
-	p.headTx.Schedule(p.headEnd)
+// arm schedules e's emission for a transmission ending at txEnd.
+func (p *Pipe) arm(e *entry, txEnd sim.Time) {
+	e.txEnd, e.emit = txEnd, txEnd+p.Delay
+	e.tm.Schedule(e.emit)
 }
 
-// finishHead moves the head packet into the delay line.
-func (p *Pipe) finishHead() {
-	pkt := p.queue[0]
-	n := copy(p.queue, p.queue[1:])
-	p.queue[n] = nil
-	p.queue = p.queue[:n]
-	p.enterDelayLine(pkt, p.Delay)
-	p.startHead()
-}
-
-func (p *Pipe) enterDelayLine(pkt *simnet.Packet, remaining sim.Time) {
-	fl := p.entry(pkt, p.sim.Now()+remaining)
-	fl.tm.Schedule(fl.emit)
-}
-
-// entry appends a delay-line entry for pkt, due at emit, reusing an
-// emitted one when the free list has it. The entry is not armed.
-func (p *Pipe) entry(pkt *simnet.Packet, emit sim.Time) *inflight {
-	var fl *inflight
+// entry appends an unarmed entry for pkt, reusing an emitted one when
+// the free list has it.
+func (p *Pipe) entry(pkt *simnet.Packet) *entry {
+	var e *entry
 	if n := len(p.free); n > 0 {
-		fl = p.free[n-1]
+		e = p.free[n-1]
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
 	} else {
-		fl = &inflight{p: p}
-		p.sim.InitTimer(&fl.tm, p.name+".emit", fl.fire)
+		e = &entry{p: p}
+		p.sim.InitTimer(&e.tm, p.name+".emit", e.fire)
 	}
-	fl.pkt, fl.emit = pkt, emit
-	p.line = append(p.line, fl)
-	return fl
+	e.pkt = pkt
+	p.ents = append(p.ents, e)
+	return e
 }
 
 // release returns an unarmed entry to the free list.
-func (p *Pipe) release(fl *inflight) {
-	fl.pkt = nil
-	p.free = append(p.free, fl)
+func (p *Pipe) release(e *entry) {
+	e.pkt = nil
+	p.free = append(p.free, e)
 }
 
-func (p *Pipe) emit(fl *inflight) {
-	// Remove from the delay line bookkeeping.
-	for i, x := range p.line {
-		if x == fl {
-			n := copy(p.line[i:], p.line[i+1:])
-			p.line[i+n] = nil
-			p.line = p.line[:i+n]
+func (p *Pipe) emit(e *entry) {
+	// The entry is in the delay line, almost always at its head.
+	p.advance()
+	for i, x := range p.ents[:p.cur] {
+		if x == e {
+			n := copy(p.ents[i:], p.ents[i+1:])
+			p.ents[i+n] = nil
+			p.ents = p.ents[:i+n]
+			p.cur--
 			break
 		}
 	}
-	pkt := fl.pkt
-	p.release(fl)
+	pkt := e.pkt
+	p.release(e)
 	p.Emitted++
 	if p.out != nil {
 		p.out.Accept(pkt)
@@ -191,16 +186,15 @@ func (p *Pipe) Freeze() {
 	if p.frozen {
 		return
 	}
+	p.advance()
 	p.frozen = true
 	p.frozeAt = p.sim.Now()
-	if p.headTx.Pending() {
-		p.headLeft = p.headEnd - p.sim.Now()
-		p.headTx.Stop()
-	} else {
-		p.headLeft = -1
+	p.headLeft = -1
+	if p.cur < len(p.ents) {
+		p.headLeft = p.ents[p.cur].txEnd - p.frozeAt
 	}
-	for _, fl := range p.line {
-		fl.tm.Stop()
+	for _, e := range p.ents {
+		e.tm.Stop()
 	}
 }
 
@@ -218,21 +212,21 @@ func (p *Pipe) Thaw() {
 	}
 	p.frozen = false
 	now := p.sim.Now()
-	// Re-arm delay line with remaining delays.
-	for _, fl := range p.line {
-		remaining := fl.emit - p.frozeAt
-		if remaining < 0 {
-			remaining = 0
-		}
-		fl.emit = now + remaining
-		fl.tm.Schedule(fl.emit)
+	// Re-arm the delay line with remaining delays.
+	for _, e := range p.ents[:p.cur] {
+		e.emit = now + max(e.emit-p.frozeAt, 0)
+		e.tm.Schedule(e.emit)
 	}
-	// Re-arm the bandwidth stage.
-	if p.headLeft >= 0 && len(p.queue) > 0 {
-		p.headEnd = now + p.headLeft
-		p.headTx.Schedule(p.headEnd)
-	} else if len(p.queue) > 0 {
-		p.startHead()
+	// Re-run the bandwidth stage: the head finishes its remaining
+	// transmission, then each queued packet follows back to back.
+	end := now
+	for i, e := range p.ents[p.cur:] {
+		if i == 0 && p.headLeft >= 0 {
+			end += p.headLeft
+		} else {
+			end += p.Bandwidth.TxTime(e.pkt.Size)
+		}
+		p.arm(e, end)
 	}
 	p.headLeft = -1
 }
@@ -289,13 +283,13 @@ func (p *Pipe) Serialize() (*PipeState, error) {
 		StatsDrop:   p.Dropped,
 		StatsPLRDrp: p.PLRDrops,
 	}
-	for _, pkt := range p.queue {
-		st.Queue = append(st.Queue, PacketState{Packet: pkt.Clone()})
+	for _, e := range p.ents[p.cur:] {
+		st.Queue = append(st.Queue, PacketState{Packet: e.pkt.Clone()})
 	}
-	for _, fl := range p.line {
+	for _, e := range p.ents[:p.cur] {
 		st.DelayLine = append(st.DelayLine, PacketState{
-			Packet:         fl.pkt.Clone(),
-			RemainingDelay: fl.emit - p.frozeAt,
+			Packet:         e.pkt.Clone(),
+			RemainingDelay: e.emit - p.frozeAt,
 		})
 	}
 	return st, nil
@@ -313,18 +307,19 @@ func (p *Pipe) Restore(st *PipeState) {
 	p.Emitted = st.StatsEmit
 	p.Dropped = st.StatsDrop
 	p.PLRDrops = st.StatsPLRDrp
-	p.queue = nil
-	for _, q := range st.Queue {
-		p.queue = append(p.queue, q.Packet.Clone())
+	for _, e := range p.ents {
+		p.release(e)
 	}
-	for _, fl := range p.line {
-		p.release(fl)
-	}
-	clear(p.line)
-	p.line = p.line[:0]
+	clear(p.ents)
+	p.ents = p.ents[:0]
 	p.frozeAt = p.sim.Now()
 	for _, d := range st.DelayLine {
-		p.entry(d.Packet.Clone(), p.frozeAt+d.RemainingDelay)
+		e := p.entry(d.Packet.Clone())
+		e.txEnd, e.emit = p.frozeAt, p.frozeAt+d.RemainingDelay
+	}
+	p.cur = len(p.ents)
+	for _, q := range st.Queue {
+		p.entry(q.Packet.Clone())
 	}
 	p.headLeft = st.HeadTxLeft
 }

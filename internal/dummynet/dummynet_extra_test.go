@@ -155,9 +155,9 @@ func TestPropertySerializeRoundTripStable(t *testing.T) {
 // pipe: Freeze → Serialize → Restore → Thaw with packets in the router
 // queue, in transmission and in the delay line. Every packet is emitted
 // exactly once, in its original order, exactly as late as the frozen
-// interval; the restore recycles the delay-line entries without
-// leaving an armed timer behind, and no backing array keeps a pointer
-// to a packet that has left the pipe.
+// interval; the restore recycles the entries without leaving an armed
+// timer behind, and no backing array keeps a pointer to a packet that
+// has left the pipe.
 func TestCaptureRoundTripInPlace(t *testing.T) {
 	s := sim.New(1)
 	k := &sink{s: s}
@@ -199,19 +199,93 @@ func TestCaptureRoundTripInPlace(t *testing.T) {
 	if s.Pending() != base || p.Emitted != 5 {
 		t.Fatalf("after drain: %d events queued, %d emitted", s.Pending()-base, p.Emitted)
 	}
-	for _, q := range p.queue[:cap(p.queue)] {
-		if q != nil {
-			t.Fatal("router queue's backing array still holds a sent packet")
+	for _, e := range p.ents[:cap(p.ents)] {
+		if e != nil {
+			t.Fatal("the entry list's backing array still holds an emitted entry")
 		}
 	}
-	for _, fl := range p.line[:cap(p.line)] {
-		if fl != nil {
-			t.Fatal("delay line's backing array still holds an emitted entry")
+	for _, e := range p.free {
+		if e.pkt != nil || e.tm.Pending() {
+			t.Fatal("free entry holds a packet or an armed timer")
 		}
 	}
-	for _, fl := range p.free {
-		if fl.pkt != nil || fl.tm.Pending() {
-			t.Fatal("free delay-line entry holds a packet or an armed timer")
+}
+
+// TestPooledPacketsNotReusedWhileHeld pins the packet pool's ownership
+// rule: a sender's free list hands a packet out again only after its
+// receiver released it. Packets parked in a frozen NIC's replay log or
+// inside a frozen pipe are still held, and the copies a PipeState
+// captures belong to no free list, so releasing one is a no-op.
+func TestPooledPacketsNotReusedWhileHeld(t *testing.T) {
+	s := sim.New(1)
+	a := simnet.NewNIC(s, "a", simnet.Gbps)
+	b := simnet.NewNIC(s, "b", simnet.Gbps)
+	p := NewPipe(s, "p", 10*simnet.Mbps, 5*sim.Millisecond, b)
+	a.Attach(simnet.NewWire(s, sim.Microsecond, p))
+
+	held := map[*simnet.Packet]bool{}   // handed out, not yet released
+	seen := map[*simnet.Packet]bool{}   // every packet the free list produced
+	images := map[*simnet.Packet]bool{} // copies captured in a PipeState
+	b.OnReceive(func(pkt *simnet.Packet) {
+		if !held[pkt] {
+			t.Fatalf("delivered packet %d was never handed out", pkt.ID)
 		}
+		delete(held, pkt)
+		pkt.Release()
+	})
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			pkt := a.NewPacket()
+			if held[pkt] || images[pkt] {
+				t.Fatalf("free list handed out packet %d while it is still held", pkt.ID)
+			}
+			held[pkt], seen[pkt] = true, true
+			pkt.Dst, pkt.Size = "b", 1250 // 1 ms through the pipe's bandwidth stage
+			a.Send(pkt)
+		}
+	}
+
+	send(8) // warm the free list
+	s.Run()
+	if len(held) != 0 {
+		t.Fatalf("%d packets never delivered", len(held))
+	}
+	b.Freeze()
+	send(8)
+	s.Run()
+	if b.ReplayLogLen() != 8 {
+		t.Fatalf("replay log holds %d, want 8", b.ReplayLogLen())
+	}
+	send(8)
+	s.RunFor(3500 * sim.Microsecond) // three in the delay line, five queued
+	p.Freeze()
+	st, err := p.Serialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.DelayLine) != 3 || len(st.Queue) != 5 {
+		t.Fatalf("captured line %d, queue %d; want 3, 5", len(st.DelayLine), len(st.Queue))
+	}
+	for _, ps := range append(st.Queue, st.DelayLine...) {
+		images[ps.Packet] = true
+		ps.Packet.Release()
+	}
+	send(8) // into the frozen pipe's router queue
+	s.RunFor(10 * sim.Millisecond)
+	p.Thaw()
+	s.Run()
+	if b.ReplayLogLen() != 24 {
+		t.Fatalf("replay log holds %d, want 24", b.ReplayLogLen())
+	}
+	b.Thaw()
+	s.Run()
+	if len(held) != 0 {
+		t.Fatalf("%d packets never delivered", len(held))
+	}
+	pooled := len(seen)
+	send(24)
+	s.Run()
+	if len(seen) != pooled {
+		t.Fatalf("free list allocated %d new packets with %d released", len(seen)-pooled, pooled)
 	}
 }

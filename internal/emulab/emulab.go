@@ -201,16 +201,9 @@ func (tb *Testbed) SwapIn(spec Spec) (*Experiment, error) {
 
 	// Build links. A node may sit on several links (and a LAN); the
 	// physical machine has one experiment NIC per link, which the model
-	// folds into a per-node output router that picks the egress segment
-	// by destination (single L2 hop — Emulab links are switched
-	// Ethernet; multi-hop forwarding is the guest's business).
-	routes := make(map[string]map[simnet.Addr]simnet.Port)
-	addRoute := func(from *ExpNode, to simnet.Addr, p simnet.Port) {
-		if routes[from.Spec.Name] == nil {
-			routes[from.Spec.Name] = make(map[simnet.Addr]simnet.Port)
-		}
-		routes[from.Spec.Name][to] = p
-	}
+	// folds into the NIC's route table, picking the egress segment by
+	// destination (single L2 hop — Emulab links are switched Ethernet;
+	// multi-hop forwarding is the guest's business).
 	for i, l := range spec.Links {
 		a, okA := e.Nodes[l.A]
 		b, okB := e.Nodes[l.B]
@@ -218,23 +211,23 @@ func (tb *Testbed) SwapIn(spec Spec) (*Experiment, error) {
 			return nil, fmt.Errorf("emulab: link %s-%s references unknown node", l.A, l.B)
 		}
 		if !l.Shaped() {
-			addRoute(a, b.M.ExpNIC.Addr(), simnet.NewWire(tb.S, 2*sim.Microsecond, b.M.ExpNIC))
-			addRoute(b, a.M.ExpNIC.Addr(), simnet.NewWire(tb.S, 2*sim.Microsecond, a.M.ExpNIC))
+			a.M.ExpNIC.Route(b.M.ExpNIC.Addr(), simnet.NewWire(tb.S, 2*sim.Microsecond, b.M.ExpNIC))
+			b.M.ExpNIC.Route(a.M.ExpNIC.Addr(), simnet.NewWire(tb.S, 2*sim.Microsecond, a.M.ExpNIC))
 			continue
 		}
 		dn := dummynet.NewDelayNode(tb.S, fmt.Sprintf("%s-delay%d", spec.Name, i), l.Bandwidth, l.Delay)
 		dn.SetLoss(l.Loss)
 		// Endpoint-to-delay-node wires are the "zero-delay links" of
 		// §4.4: only physically-in-flight packets escape the capture.
-		addRoute(a, b.M.ExpNIC.Addr(), simnet.NewWire(tb.S, 2*sim.Microsecond, dn.Forward))
-		addRoute(b, a.M.ExpNIC.Addr(), simnet.NewWire(tb.S, 2*sim.Microsecond, dn.Reverse))
+		a.M.ExpNIC.Route(b.M.ExpNIC.Addr(), simnet.NewWire(tb.S, 2*sim.Microsecond, dn.Forward))
+		b.M.ExpNIC.Route(a.M.ExpNIC.Addr(), simnet.NewWire(tb.S, 2*sim.Microsecond, dn.Reverse))
 		dn.AttachForward(b.M.ExpNIC)
 		dn.AttachReverse(a.M.ExpNIC)
 		e.DelayNodes = append(e.DelayNodes, dn)
 		tb.NTP.Start(dn.Name)
 	}
 
-	// Build LANs.
+	// Build LANs: each member enters the switch through its own ingress.
 	for _, lan := range spec.LANs {
 		sw := simnet.NewSwitch(tb.S, 2*sim.Microsecond)
 		for _, name := range lan.Members {
@@ -243,31 +236,12 @@ func (tb *Testbed) SwapIn(spec Spec) (*Experiment, error) {
 				return nil, fmt.Errorf("emulab: LAN %s references unknown node %s", lan.Name, name)
 			}
 			sw.Connect(n.M.ExpNIC.Addr(), n.M.ExpNIC)
+			in := sw.Ingress()
 			for _, peer := range lan.Members {
 				if peer != name {
-					addRoute(n, simnet.Addr(peer), sw)
+					n.M.ExpNIC.Route(simnet.Addr(peer), in)
 				}
 			}
-		}
-	}
-
-	// Attach each node's egress router.
-	for name, n := range e.Nodes {
-		table := routes[name]
-		switch len(table) {
-		case 0:
-			// Isolated node: leave unattached.
-		case 1:
-			for _, p := range table {
-				n.M.ExpNIC.Attach(p)
-			}
-		default:
-			t := table
-			n.M.ExpNIC.Attach(simnet.PortFunc(func(pkt *simnet.Packet) {
-				if out, ok := t[pkt.Dst]; ok {
-					out.Accept(pkt)
-				}
-			}))
 		}
 	}
 

@@ -330,7 +330,8 @@ func (k *Kernel) Handle(port string, h func(from simnet.Addr, m *Message)) {
 // hitting the NIC, so the tx path stalls during checkpoints and slows
 // under dom0 interference.
 func (k *Kernel) Send(dst simnet.Addr, size int, m *Message) {
-	pkt := &simnet.Packet{Dst: dst, Size: size, Payload: m}
+	pkt := k.M.ExpNIC.NewPacket()
+	pkt.Dst, pkt.Size, pkt.Payload = dst, size, m
 	k.txq = append(k.txq, pkt)
 	if !k.txBusy {
 		k.txPump()
@@ -377,7 +378,8 @@ func (k *Kernel) rxPump() {
 }
 
 // rxDone ends the rx softirq: the packet in service goes to its port's
-// handler.
+// handler. Nothing holds the packet after that, so it goes back to the
+// sending NIC's free list.
 func (k *Kernel) rxDone() {
 	pkt := k.rxCur
 	k.rxCur = nil
@@ -388,6 +390,7 @@ func (k *Kernel) rxDone() {
 			h(pkt.Src, m)
 		}
 	}
+	pkt.Release()
 	k.rxPump()
 }
 

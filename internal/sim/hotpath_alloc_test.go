@@ -12,8 +12,11 @@ import (
 // TestGuestHotPathAllocationBudget extends TestDoAtPopAllocationFree's
 // zero-alloc contract up the stack. On a warmed two-node tenant with a
 // shaped link, a guest Usleep tick (firewall timer) allocates nothing,
-// and a ping-pong round trip (tx and rx softirqs, NIC, wires, delay
-// node pipes) allocates at most its two packets.
+// and neither does a ping-pong round trip (tx and rx softirqs, NIC,
+// wires, delay-node pipes): its packets come from the NICs' free lists.
+// Each one-way message fires exactly four events — tx softirq, wire
+// arrival at the delay node, pipe emission, rx softirq — so a round
+// trip fires eight.
 func TestGuestHotPathAllocationBudget(t *testing.T) {
 	s := sim.New(1)
 	tb := emulab.NewTestbed(s, 3)
@@ -51,10 +54,15 @@ func TestGuestHotPathAllocationBudget(t *testing.T) {
 	if got := testing.AllocsPerRun(200, usleep); got != 0 {
 		t.Errorf("one Usleep tick allocates %.1f, want 0", got)
 	}
-	if got := testing.AllocsPerRun(200, roundTrip); got > 2 {
-		t.Errorf("one ping-pong round trip allocates %.1f, want at most 2 (the packets)", got)
+	if got := testing.AllocsPerRun(200, roundTrip); got != 0 {
+		t.Errorf("one ping-pong round trip allocates %.1f, want 0", got)
 	}
 	if ticks != 16+201 || pongs != 16+201 {
 		t.Fatalf("measured runs: %d ticks, %d pongs; want %d each", ticks, pongs, 16+201)
+	}
+	before := s.Fired()
+	roundTrip()
+	if got := s.Fired() - before; got != 8 {
+		t.Errorf("one ping-pong round trip fires %d events, want 8", got)
 	}
 }

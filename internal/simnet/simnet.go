@@ -1,11 +1,16 @@
 // Package simnet models the experimental network fabric: packets,
 // network interfaces with transmit serialization, point-to-point wires
-// with propagation delay and loss, and store-and-forward L2 switches.
+// with propagation delay, and store-and-forward L2 switches.
 //
-// The fabric is deliberately composable: anything that can accept a
-// packet implements Port, so a path can be assembled as
-// NIC -> Wire -> DelayNode -> Wire -> NIC, exactly mirroring how Emulab
-// interposes delay nodes on experiment links (paper §2).
+// The fabric is deliberately composable: a wire ends at any Port, so a
+// path can be assembled as NIC -> Wire -> DelayNode -> NIC, exactly
+// mirroring how Emulab interposes delay nodes on experiment links
+// (paper §2).
+//
+// One event per hop: Send knows when a packet leaves the transmitter,
+// so it queues the packet on its egress wire (attached, routed, or the
+// NIC's own ingress into a switch) due at that time plus the wire's
+// delay; a wire has one producer, so its exits never decrease.
 //
 // Frozen receivers: when a node is suspended for a checkpoint, packets
 // that arrive at its NIC are appended to a per-flow replay log and
@@ -52,12 +57,29 @@ type Packet struct {
 	Size    int    // bytes on the wire
 	Payload any
 	SentAt  sim.Time
+
+	// owner is the NIC whose free list handed the packet out (nil for a
+	// packet built by hand or by Clone); Release returns it there.
+	owner *NIC
 }
 
-// Clone returns a shallow copy of the packet.
+// Clone returns a shallow copy of the packet. The copy belongs to no
+// free list, so a checkpoint image never shares a pooled packet.
 func (p *Packet) Clone() *Packet {
 	c := *p
+	c.owner = nil
 	return &c
+}
+
+// Release returns a NewPacket packet to its NIC's free list after its
+// last reader; other packets, and dropped ones, are left to the GC.
+func (p *Packet) Release() {
+	n := p.owner
+	if n == nil {
+		return
+	}
+	*p = Packet{owner: n}
+	n.free = append(n.free, p)
 }
 
 func (p *Packet) String() string {
@@ -65,16 +87,11 @@ func (p *Packet) String() string {
 }
 
 // Port is anything that can accept a packet at the current simulation
-// time: a wire, a switch, a delay-node pipe, or a NIC's receive side.
+// time at the far end of a wire: a delay-node pipe or a NIC's receive
+// side.
 type Port interface {
 	Accept(pkt *Packet)
 }
-
-// PortFunc adapts a function to the Port interface.
-type PortFunc func(pkt *Packet)
-
-// Accept calls f(pkt).
-func (f PortFunc) Accept(pkt *Packet) { f(pkt) }
 
 // Counters aggregates traffic statistics on a NIC direction.
 type Counters struct {
@@ -83,27 +100,24 @@ type Counters struct {
 }
 
 // NIC is a network interface: it serializes outbound packets at its
-// configured speed onto an attached Port, and delivers inbound packets to
-// a handler. The receive side can be frozen for checkpoints.
+// configured speed onto its egress wires, and delivers inbound packets
+// to a handler. The receive side can be frozen for checkpoints.
 type NIC struct {
 	sim     *sim.Simulator
 	addr    Addr
 	speed   Bitrate
-	out     Port
+	out     *Wire          // egress for destinations without a route
+	routes  map[Addr]*Wire // per-destination egress of a multi-link node
 	handler func(*Packet)
 
 	txFreeAt sim.Time // when the transmitter finishes its current queue
-	// tx holds packets accepted for transmit but not yet handed
-	// downstream, each with the port it was sent to. Exit times never
-	// decrease, so the cached txExitFn always completes the head.
-	tx       hopFIFO
-	txExitFn func()
 
 	frozen    bool
 	replay    []*Packet // arrival-ordered log of packets received while frozen
 	replayGap sim.Time  // spacing between replayed packets
 
 	nextID uint64
+	free   []*Packet // released packets for NewPacket
 
 	// flows caches the "src>dst" flow label per destination: a NIC
 	// talks to a handful of peers and pays a Send per packet, so
@@ -120,31 +134,50 @@ type NIC struct {
 // The replay gap defaults to 1 µs, approximating back-to-back delivery
 // without creating simultaneous events.
 func NewNIC(s *sim.Simulator, addr Addr, speed Bitrate) *NIC {
-	n := &NIC{sim: s, addr: addr, speed: speed, replayGap: sim.Microsecond}
-	n.txExitFn = n.txExit
-	return n
+	return &NIC{sim: s, addr: addr, speed: speed, replayGap: sim.Microsecond}
 }
 
 // Addr reports the NIC's address.
 func (n *NIC) Addr() Addr { return n.addr }
 
-// Speed reports the NIC's line rate.
-func (n *NIC) Speed() Bitrate { return n.speed }
+// Attach makes w the NIC's egress for every destination without a
+// Route. A wire carries one NIC's traffic.
+func (n *NIC) Attach(w *Wire) { n.out = w }
 
-// Attach connects the transmit side to a downstream port.
-func (n *NIC) Attach(out Port) { n.out = out }
+// Route makes w the egress for packets to dst: the output router of a
+// node with one NIC per link. While one destination is routed its wire
+// carries every packet, as a lone link would; with more, a packet to
+// an unrouted destination is dropped once transmitted.
+func (n *NIC) Route(dst Addr, w *Wire) {
+	if n.routes == nil {
+		n.routes = make(map[Addr]*Wire)
+	}
+	n.routes[dst] = w
+	n.out = nil
+	if len(n.routes) == 1 {
+		n.out = w
+	}
+}
 
 // OnReceive installs the inbound packet handler.
 func (n *NIC) OnReceive(h func(*Packet)) { n.handler = h }
 
-// QueuedTx reports packets accepted for transmit but not yet delivered
-// to the downstream port.
-func (n *NIC) QueuedTx() int { return n.tx.len() }
+// NewPacket returns a zeroed packet from the NIC's free list. Its last
+// reader hands it back with Release.
+func (n *NIC) NewPacket() *Packet {
+	k := len(n.free) - 1
+	if k < 0 {
+		return &Packet{owner: n}
+	}
+	p := n.free[k]
+	n.free = n.free[:k]
+	return p
+}
 
-// Send serializes the packet onto the attached port, honoring the line
+// Send serializes the packet onto its egress wire, honoring the line
 // rate: a packet begins transmission only after all previously queued
 // packets have left the interface. It returns the scheduled wire-exit
-// time. Sending with no attached port counts as a drop.
+// time. Sending with no egress at all counts as a drop.
 func (n *NIC) Send(pkt *Packet) sim.Time {
 	pkt.Src = n.addr
 	if pkt.Flow == "" {
@@ -153,7 +186,7 @@ func (n *NIC) Send(pkt *Packet) sim.Time {
 	n.nextID++
 	pkt.ID = n.nextID
 	pkt.SentAt = n.sim.Now()
-	if n.out == nil {
+	if n.out == nil && n.routes == nil {
 		n.Dropped++
 		return n.sim.Now()
 	}
@@ -165,15 +198,14 @@ func (n *NIC) Send(pkt *Packet) sim.Time {
 	n.txFreeAt = done
 	n.TX.Packets++
 	n.TX.Bytes += uint64(pkt.Size)
-	n.tx.push(hop{pkt, n.out})
-	n.sim.DoAt(done, "nic.tx", n.txExitFn)
+	w := n.routes[pkt.Dst]
+	if w == nil {
+		w = n.out
+	}
+	if w != nil {
+		w.carry(pkt, done)
+	}
 	return done
-}
-
-// txExit hands the packet at the head of the transmit FIFO downstream.
-func (n *NIC) txExit() {
-	h := n.tx.pop()
-	h.to.Accept(h.pkt)
 }
 
 // flowLabel returns the cached "src>dst" label for a destination,
@@ -246,21 +278,18 @@ func (n *NIC) SetReplayGap(d sim.Time) {
 	n.replayGap = d
 }
 
-// Wire is a unidirectional point-to-point segment with fixed propagation
-// delay and optional random loss. Bandwidth is enforced by the sending
-// NIC (or delay-node pipe), not the wire.
+// Wire is a unidirectional segment with fixed propagation delay that
+// carries one NIC's packets to a fixed port or, as a switch Ingress, to
+// the port the switch's address table picks. Bandwidth is enforced by
+// the sending NIC (or delay-node pipe), not the wire.
 type Wire struct {
 	sim   *sim.Simulator
 	delay sim.Time
-	loss  float64 // probability in [0,1]
 	dst   Port
-	// inflight holds packets propagating, oldest first; a fixed delay
-	// makes the cached arriveFn always complete the head.
+	sw    *Switch // non-nil for a switch ingress
+	// inflight holds packets propagating, oldest first (see hopFIFO).
 	inflight hopFIFO
 	arriveFn func()
-
-	Delivered uint64
-	Lost      uint64
 }
 
 // NewWire creates a wire to dst with the given one-way propagation delay.
@@ -270,49 +299,39 @@ func NewWire(s *sim.Simulator, delay sim.Time, dst Port) *Wire {
 	return w
 }
 
-// SetLoss sets the independent per-packet loss probability.
-func (w *Wire) SetLoss(p float64) {
-	if p < 0 {
-		p = 0
+// carry queues pkt, which leaves its NIC's transmitter at exit, to
+// arrive at the far end one delay later.
+func (w *Wire) carry(pkt *Packet, exit sim.Time) {
+	to := w.dst
+	if w.sw != nil {
+		p, ok := w.sw.ports[pkt.Dst]
+		if !ok {
+			w.sw.Unknown++
+			return
+		}
+		to = p
 	}
-	if p > 1 {
-		p = 1
-	}
-	w.loss = p
-}
-
-// Delay reports the propagation delay.
-func (w *Wire) Delay() sim.Time { return w.delay }
-
-// Accept implements Port.
-func (w *Wire) Accept(pkt *Packet) {
-	if w.loss > 0 && w.sim.Rand().Float64() < w.loss {
-		w.Lost++
-		return
-	}
-	w.inflight.push(hop{pkt, w.dst})
-	w.sim.DoAfter(w.delay, "wire", w.arriveFn)
+	w.inflight.push(hop{pkt, to})
+	w.sim.DoAt(exit+w.delay, "wire", w.arriveFn)
 }
 
 func (w *Wire) arrive() {
 	h := w.inflight.pop()
-	w.Delivered++
+	if w.sw != nil {
+		w.sw.Forwarded++
+	}
 	h.to.Accept(h.pkt)
 }
 
 // Switch is a store-and-forward L2 switch: packets are forwarded to the
 // port registered for their destination address after a fixed forwarding
 // latency. Unknown destinations are dropped (experiments are closed
-// worlds; there is no flooding).
+// worlds; there is no flooding). Each NIC enters the switch through an
+// Ingress of its own.
 type Switch struct {
 	sim     *sim.Simulator
 	latency sim.Time
 	ports   map[Addr]Port
-	// fwd holds packets being forwarded with their egress ports, oldest
-	// first; a fixed latency makes the cached forwardFn always complete
-	// the head.
-	fwd       hopFIFO
-	forwardFn func()
 
 	Forwarded uint64
 	Unknown   uint64
@@ -320,29 +339,19 @@ type Switch struct {
 
 // NewSwitch creates a switch with the given per-packet forwarding latency.
 func NewSwitch(s *sim.Simulator, latency sim.Time) *Switch {
-	sw := &Switch{sim: s, latency: latency, ports: make(map[Addr]Port)}
-	sw.forwardFn = sw.forward
-	return sw
+	return &Switch{sim: s, latency: latency, ports: make(map[Addr]Port)}
 }
 
 // Connect registers the port handling traffic addressed to addr.
 func (sw *Switch) Connect(addr Addr, p Port) { sw.ports[addr] = p }
 
-// Accept implements Port.
-func (sw *Switch) Accept(pkt *Packet) {
-	dst, ok := sw.ports[pkt.Dst]
-	if !ok {
-		sw.Unknown++
-		return
-	}
-	sw.fwd.push(hop{pkt, dst})
-	sw.sim.DoAfter(sw.latency, "switch", sw.forwardFn)
-}
-
-func (sw *Switch) forward() {
-	h := sw.fwd.pop()
-	sw.Forwarded++
-	h.to.Accept(h.pkt)
+// Ingress returns a new segment into the switch for one NIC to attach
+// or route through: the forwarding latency is its delay, and the
+// address table picks each packet's far end when it is sent.
+func (sw *Switch) Ingress() *Wire {
+	w := NewWire(sw.sim, sw.latency, nil)
+	w.sw = sw
+	return w
 }
 
 // hop is a packet on its way to a port.
@@ -351,10 +360,10 @@ type hop struct {
 	to  Port
 }
 
-// hopFIFO queues the hops one fabric component has scheduled to leave
-// it, oldest first. Each component's exit times never decrease and the
-// simulator fires equal times in scheduling order, so one cached
-// callback per component always completes the head.
+// hopFIFO queues the hops one wire has scheduled to leave it, oldest
+// first. A wire has one producer and a fixed delay, so its exit times
+// never decrease, and the simulator fires equal times in scheduling
+// order: one cached callback per wire always completes the head.
 type hopFIFO struct {
 	buf  []hop
 	head int

@@ -6,15 +6,6 @@ import (
 	"emucheck/internal/sim"
 )
 
-func TestPortFuncAdapter(t *testing.T) {
-	got := 0
-	var p Port = PortFunc(func(*Packet) { got++ })
-	p.Accept(&Packet{})
-	if got != 1 {
-		t.Fatal("adapter")
-	}
-}
-
 func TestFreezeDuringThawReplay(t *testing.T) {
 	// Refreezing while a replay is in flight: already-scheduled replay
 	// deliveries land (they are wire arrivals in progress); packets
@@ -51,22 +42,6 @@ func TestExplicitFlowPreserved(t *testing.T) {
 	}
 }
 
-func TestQueuedTxCount(t *testing.T) {
-	s := sim.New(1)
-	a, b := pair(s, 1*Mbps, 0) // slow: 1500B takes 12ms
-	b.OnReceive(func(*Packet) {})
-	for i := 0; i < 3; i++ {
-		a.Send(&Packet{Dst: "b", Size: 1500})
-	}
-	if a.QueuedTx() != 3 {
-		t.Fatalf("queued = %d", a.QueuedTx())
-	}
-	s.Run()
-	if a.QueuedTx() != 0 {
-		t.Fatal("queue not drained")
-	}
-}
-
 func TestSwitchMultiplePorts(t *testing.T) {
 	s := sim.New(1)
 	sw := NewSwitch(s, sim.Microsecond)
@@ -75,7 +50,7 @@ func TestSwitchMultiplePorts(t *testing.T) {
 	for _, n := range []Addr{"a", "b", "c", "d"} {
 		n := n
 		nic := NewNIC(s, n, 100*Mbps)
-		nic.Attach(sw)
+		nic.Attach(sw.Ingress())
 		nic.OnReceive(func(*Packet) { hits[n]++ })
 		sw.Connect(n, nic)
 		nics[n] = nic

@@ -176,44 +176,13 @@ func TestReplayGapSpacing(t *testing.T) {
 	}
 }
 
-func TestWireLossAllOrNothing(t *testing.T) {
-	s := sim.New(1)
-	a, b := pair(s, 1000*Mbps, 0)
-	n := 0
-	b.OnReceive(func(p *Packet) { n++ })
-	w := NewWire(s, 0, b)
-	a.Attach(w)
-	w.SetLoss(1)
-	for i := 0; i < 10; i++ {
-		a.Send(&Packet{Dst: "b", Size: 100})
-	}
-	s.Run()
-	if n != 0 || w.Lost != 10 {
-		t.Fatalf("loss=1 delivered %d, lost %d", n, w.Lost)
-	}
-	w.SetLoss(0)
-	a.Send(&Packet{Dst: "b", Size: 100})
-	s.Run()
-	if n != 1 {
-		t.Fatal("loss=0 dropped a packet")
-	}
-	w.SetLoss(-5)
-	if w.loss != 0 {
-		t.Fatal("negative loss not clamped")
-	}
-	w.SetLoss(7)
-	if w.loss != 1 {
-		t.Fatal("loss > 1 not clamped")
-	}
-}
-
 func TestSwitchForwarding(t *testing.T) {
 	s := sim.New(1)
 	sw := NewSwitch(s, 2*sim.Microsecond)
 	a := NewNIC(s, "a", 100*Mbps)
 	b := NewNIC(s, "b", 100*Mbps)
-	a.Attach(sw)
-	b.Attach(sw)
+	a.Attach(sw.Ingress())
+	b.Attach(sw.Ingress())
 	sw.Connect("a", a)
 	sw.Connect("b", b)
 	var got sim.Time
@@ -233,7 +202,7 @@ func TestSwitchUnknownDst(t *testing.T) {
 	s := sim.New(1)
 	sw := NewSwitch(s, 0)
 	a := NewNIC(s, "a", 100*Mbps)
-	a.Attach(sw)
+	a.Attach(sw.Ingress())
 	a.Send(&Packet{Dst: "nope", Size: 100})
 	s.Run()
 	if sw.Unknown != 1 {
