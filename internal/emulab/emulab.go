@@ -81,6 +81,33 @@ func (sp Spec) NodesNeeded() int {
 	return len(sp.Nodes) + shaped
 }
 
+// checkRefs rejects a link or LAN that names a node the spec does not
+// define. SwapIn runs it before it charges the pool or starts NTP, so a
+// rejected spec leaves the testbed as it found it.
+func (sp Spec) checkRefs() error {
+	known := func(name string) bool {
+		for _, n := range sp.Nodes {
+			if n.Name == name {
+				return true
+			}
+		}
+		return false
+	}
+	for _, l := range sp.Links {
+		if !known(l.A) || !known(l.B) {
+			return fmt.Errorf("emulab: link %s-%s references unknown node", l.A, l.B)
+		}
+	}
+	for _, lan := range sp.LANs {
+		for _, name := range lan.Members {
+			if !known(name) {
+				return fmt.Errorf("emulab: LAN %s references unknown node %s", lan.Name, name)
+			}
+		}
+	}
+	return nil
+}
+
 // Swappable reports whether every node carries a branching-storage disk,
 // i.e. whether the experiment can be statefully swapped without losing
 // node-local state.
@@ -172,6 +199,9 @@ func (tb *Testbed) SwapIn(spec Spec) (*Experiment, error) {
 	if _, dup := tb.experiments[spec.Name]; dup {
 		return nil, fmt.Errorf("emulab: experiment %q already swapped in", spec.Name)
 	}
+	if err := spec.checkRefs(); err != nil {
+		return nil, err
+	}
 	needed := spec.NodesNeeded()
 	if needed > tb.FreeNodes {
 		return nil, fmt.Errorf("emulab: need %d nodes, %d free", needed, tb.FreeNodes)
@@ -205,11 +235,7 @@ func (tb *Testbed) SwapIn(spec Spec) (*Experiment, error) {
 	// destination (single L2 hop — Emulab links are switched Ethernet;
 	// multi-hop forwarding is the guest's business).
 	for i, l := range spec.Links {
-		a, okA := e.Nodes[l.A]
-		b, okB := e.Nodes[l.B]
-		if !okA || !okB {
-			return nil, fmt.Errorf("emulab: link %s-%s references unknown node", l.A, l.B)
-		}
+		a, b := e.Nodes[l.A], e.Nodes[l.B]
 		if !l.Shaped() {
 			a.M.ExpNIC.Route(b.M.ExpNIC.Addr(), simnet.NewWire(tb.S, 2*sim.Microsecond, b.M.ExpNIC))
 			b.M.ExpNIC.Route(a.M.ExpNIC.Addr(), simnet.NewWire(tb.S, 2*sim.Microsecond, a.M.ExpNIC))
@@ -231,10 +257,7 @@ func (tb *Testbed) SwapIn(spec Spec) (*Experiment, error) {
 	for _, lan := range spec.LANs {
 		sw := simnet.NewSwitch(tb.S, 2*sim.Microsecond)
 		for _, name := range lan.Members {
-			n, ok := e.Nodes[name]
-			if !ok {
-				return nil, fmt.Errorf("emulab: LAN %s references unknown node %s", lan.Name, name)
-			}
+			n := e.Nodes[name]
 			sw.Connect(n.M.ExpNIC.Addr(), n.M.ExpNIC)
 			in := sw.Ingress()
 			for _, peer := range lan.Members {

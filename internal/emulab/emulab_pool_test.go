@@ -163,3 +163,28 @@ func TestSharedBusScopesCheckpoints(t *testing.T) {
 		t.Fatalf("B images = %d", n)
 	}
 }
+
+// A spec whose link names an undefined node is rejected before the
+// testbed charges the pool or starts NTP for any of its nodes.
+func TestSwapInRejectsUnknownLinkEndpointWithoutLeak(t *testing.T) {
+	tb := NewTestbed(sim.New(1), 10)
+	spec := Spec{
+		Name:  "leaky",
+		Nodes: []NodeSpec{{Name: "a"}},
+		Links: []LinkSpec{{A: "a", B: "ghost"}},
+	}
+	if _, err := tb.SwapIn(spec); err == nil {
+		t.Fatal("link to an unknown node admitted")
+	}
+	if tb.FreeNodes != 10 {
+		t.Fatalf("FreeNodes = %d after a rejected swap-in, want 10", tb.FreeNodes)
+	}
+	if tb.NTP.Started("a") {
+		t.Fatal("NTP started for a node of a rejected swap-in")
+	}
+	spec.Links = nil
+	spec.LANs = []LANSpec{{Name: "l", Members: []string{"a", "ghost"}}}
+	if _, err := tb.SwapIn(spec); err == nil || tb.FreeNodes != 10 {
+		t.Fatalf("LAN with an unknown member: err %v, FreeNodes %d", err, tb.FreeNodes)
+	}
+}
