@@ -112,9 +112,14 @@ type NIC struct {
 
 	txFreeAt sim.Time // when the transmitter finishes its current queue
 
-	frozen    bool
-	replay    []*Packet // arrival-ordered log of packets received while frozen
-	replayGap sim.Time  // spacing between replayed packets
+	frozen bool
+	// replay holds packets received while frozen, in arrival order:
+	// first those a Thaw has scheduled, then the last logged ones, which
+	// await the next Thaw. Each scheduled replayFn delivers the head.
+	replay    fifo[*Packet]
+	logged    int
+	replayFn  func()
+	replayGap sim.Time // spacing between replayed packets
 
 	nextID uint64
 	free   []*Packet // released packets for NewPacket
@@ -134,7 +139,9 @@ type NIC struct {
 // The replay gap defaults to 1 µs, approximating back-to-back delivery
 // without creating simultaneous events.
 func NewNIC(s *sim.Simulator, addr Addr, speed Bitrate) *NIC {
-	return &NIC{sim: s, addr: addr, speed: speed, replayGap: sim.Microsecond}
+	n := &NIC{sim: s, addr: addr, speed: speed, replayGap: sim.Microsecond}
+	n.replayFn = func() { n.deliver(n.replay.pop()) }
+	return n
 }
 
 // Addr reports the NIC's address.
@@ -225,7 +232,8 @@ func (n *NIC) flowLabel(dst Addr) string {
 // Accept implements Port for the receive side.
 func (n *NIC) Accept(pkt *Packet) {
 	if n.frozen {
-		n.replay = append(n.replay, pkt)
+		n.replay.push(pkt)
+		n.logged++
 		return
 	}
 	n.deliver(pkt)
@@ -251,19 +259,17 @@ func (n *NIC) Freeze() { n.frozen = true }
 func (n *NIC) Frozen() bool { return n.frozen }
 
 // ReplayLogLen reports how many packets are waiting in the replay log.
-func (n *NIC) ReplayLogLen() int { return len(n.replay) }
+func (n *NIC) ReplayLogLen() int { return n.logged }
 
 // Thaw resumes delivery, replaying logged packets in arrival order with
 // the configured inter-packet gap before any new traffic is handled.
-// Per-flow order is preserved because arrival order preserves it.
+// Per-flow order is preserved because arrival order preserves it, also
+// when a Thaw comes while an earlier Thaw's replays are still pending.
 func (n *NIC) Thaw() {
 	n.frozen = false
-	log := n.replay
-	n.replay = nil
 	gap := sim.Time(0)
-	for _, pkt := range log {
-		pkt := pkt
-		n.sim.DoAfter(gap, "nic.replay", func() { n.deliver(pkt) })
+	for ; n.logged > 0; n.logged-- {
+		n.sim.DoAfter(gap, "nic.replay", n.replayFn)
 		gap += n.replayGap
 	}
 }
@@ -287,8 +293,8 @@ type Wire struct {
 	delay sim.Time
 	dst   Port
 	sw    *Switch // non-nil for a switch ingress
-	// inflight holds packets propagating, oldest first (see hopFIFO).
-	inflight hopFIFO
+	// inflight holds packets propagating, oldest first (see fifo).
+	inflight fifo[hop]
 	arriveFn func()
 }
 
@@ -360,18 +366,19 @@ type hop struct {
 	to  Port
 }
 
-// hopFIFO queues the hops one wire has scheduled to leave it, oldest
-// first. A wire has one producer and a fixed delay, so its exit times
-// never decrease, and the simulator fires equal times in scheduling
-// order: one cached callback per wire always completes the head.
-type hopFIFO struct {
-	buf  []hop
+// fifo queues the hops one wire has scheduled to leave it, or the
+// packets a NIC replays, oldest first. A wire has one producer and a
+// fixed delay, so its exit times never decrease, and the simulator fires
+// equal times in scheduling order: one cached callback per wire always
+// completes the head.
+type fifo[T any] struct {
+	buf  []T
 	head int
 }
 
-func (q *hopFIFO) len() int { return len(q.buf) - q.head }
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
 
-func (q *hopFIFO) push(h hop) {
+func (q *fifo[T]) push(h T) {
 	if q.head > 0 && len(q.buf) == cap(q.buf) {
 		// Slide the live entries down instead of growing past the
 		// popped prefix.
@@ -383,9 +390,10 @@ func (q *hopFIFO) push(h hop) {
 	q.buf = append(q.buf, h)
 }
 
-func (q *hopFIFO) pop() hop {
+func (q *fifo[T]) pop() T {
 	h := q.buf[q.head]
-	q.buf[q.head] = hop{}
+	var zero T
+	q.buf[q.head] = zero
 	q.head++
 	if q.head == len(q.buf) {
 		q.buf = q.buf[:0]

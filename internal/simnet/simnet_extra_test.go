@@ -78,7 +78,7 @@ func TestSwitchMultiplePorts(t *testing.T) {
 // empties (steady traffic) keeps popping in push order, clears popped
 // slots, and slides live entries down instead of growing without bound.
 func TestFIFONeverDrainedStaysBounded(t *testing.T) {
-	var q hopFIFO
+	var q fifo[hop]
 	next, want := uint64(0), uint64(0)
 	for round := 0; round < 1000; round++ {
 		for i := 0; i < 3; i++ {

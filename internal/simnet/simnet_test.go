@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -173,6 +174,57 @@ func TestReplayGapSpacing(t *testing.T) {
 	}
 	if d := times[1] - times[0]; d != 10*sim.Microsecond {
 		t.Fatalf("gap = %v", d)
+	}
+}
+
+// A Thaw that comes while an earlier Thaw's replays are still pending
+// keeps arrival order: the later log waits behind the earlier one.
+func TestThawWhileReplaysPendingKeepsArrivalOrder(t *testing.T) {
+	s := sim.New(1)
+	_, b := pair(s, 1000*Mbps, 0)
+	var got []uint64
+	b.OnReceive(func(p *Packet) { got = append(got, p.ID) })
+	b.SetReplayGap(10 * sim.Microsecond)
+	b.Freeze()
+	for id := uint64(1); id <= 3; id++ {
+		b.Accept(&Packet{ID: id})
+	}
+	b.Thaw() // replays due at 0, 10 and 20 µs
+	s.RunUntil(5 * sim.Microsecond)
+	b.Freeze()
+	for id := uint64(4); id <= 5; id++ {
+		b.Accept(&Packet{ID: id})
+	}
+	if b.ReplayLogLen() != 2 {
+		t.Fatalf("replay log = %d, want 2", b.ReplayLogLen())
+	}
+	b.Thaw() // replays due at 5 and 15 µs
+	s.Run()
+	want := []uint64{1, 2, 3, 4, 5}
+	if !slices.Equal(got, want) {
+		t.Fatalf("delivered %v, want %v", got, want)
+	}
+}
+
+// Freezing, logging pooled packets and replaying them allocates nothing
+// once the NIC's buffers are warm.
+func TestFreezeThawAllocFree(t *testing.T) {
+	s := sim.New(1)
+	a, b := pair(s, 1000*Mbps, 0)
+	b.OnReceive(func(p *Packet) { p.Release() })
+	allocs := testing.AllocsPerRun(10, func() {
+		b.Freeze()
+		for i := 0; i < 100; i++ {
+			p := a.NewPacket()
+			p.Dst, p.Size = "b", 1500
+			a.Send(p)
+		}
+		s.Run()
+		b.Thaw()
+		s.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("freeze, 100 packets, thaw: %v allocs, want 0", allocs)
 	}
 }
 
