@@ -225,6 +225,10 @@ type Coordinator struct {
 	// experiments — several coordinators can share one control LAN.
 	Scope string
 
+	// rng draws the control-LAN hops the coordinator signals outside
+	// the bus's publish path.
+	rng sim.Stream
+
 	// OnPhase, if set, observes every epoch phase transition — the
 	// hook fault injection uses to act "during save", and tests use to
 	// trace the state machine.
@@ -277,7 +281,7 @@ func NewCoordinator(s *sim.Simulator, bus *notify.Bus, y *ntpsim.Sync, members [
 // members only, instead of every daemon on the shared LAN. The
 // handler-level scope filters stay as defense in depth.
 func NewScopedCoordinator(s *sim.Simulator, bus *notify.Bus, y *ntpsim.Sync, scope string, members []*Member, delayNodes []*dummynet.DelayNode) *Coordinator {
-	c := &Coordinator{s: s, bus: bus, ntp: y, nodes: members, dns: delayNodes, Scope: scope}
+	c := &Coordinator{s: s, bus: bus, ntp: y, nodes: members, dns: delayNodes, Scope: scope, rng: s.Stream("core", scope)}
 	for _, m := range members {
 		m := m
 		c.cancels = append(c.cancels,
@@ -339,7 +343,7 @@ func (c *Coordinator) setPhase(ep *epoch, p Phase) {
 // busHop draws one control-LAN delivery delay for coordinator-driven
 // daemon signalling outside the publish path.
 func (c *Coordinator) busHop() sim.Time {
-	return c.bus.BaseLatency + c.s.Jitter(c.bus.JitterMax)
+	return c.bus.BaseLatency + c.rng.Jitter(c.bus.JitterMax)
 }
 
 // TriggerFromNode initiates an event-driven checkpoint *from a member
@@ -365,7 +369,7 @@ func (c *Coordinator) TriggerFromNode(nodeName string, done func(*Result, error)
 	}
 	// One bus hop from the triggering node to the coordinator daemon,
 	// then the normal event-driven fan-out.
-	hop := c.s.Jitter(sim.Millisecond) + 200*sim.Microsecond
+	hop := c.rng.Jitter(sim.Millisecond) + 200*sim.Microsecond
 	c.s.DoAfter(hop, "core.node-trigger", func() {
 		if c.current != nil {
 			return // someone else got there first; their epoch covers us

@@ -65,6 +65,8 @@ type Pipe struct {
 	frozeAt  sim.Time
 	headLeft sim.Time // remaining tx time of head packet at freeze
 
+	rng sim.Stream // PLR draws
+
 	// Statistics.
 	Enqueued uint64
 	Emitted  uint64
@@ -77,6 +79,7 @@ func NewPipe(s *sim.Simulator, name string, bw simnet.Bitrate, delay sim.Time, o
 	return &Pipe{
 		name: name, sim: s, out: out,
 		Bandwidth: bw, Delay: delay, Slots: DefaultQueueSlots,
+		rng: s.Stream("pipe", name),
 	}
 }
 
@@ -109,13 +112,15 @@ func (p *Pipe) InFlight() int {
 // Accept implements simnet.Port: a packet enters the router queue.
 func (p *Pipe) Accept(pkt *simnet.Packet) {
 	// A frozen pipe is checkpoint-quiesced, so it only sees packets
-	// inside the skew window; it queues them if there is room (they are
-	// captured network state) without a PLR draw, and Thaw times them.
-	if !p.frozen && p.PLR > 0 && p.sim.Rand().Float64() < p.PLR {
+	// inside the skew window. It queues them all, without a PLR draw or
+	// the slot limit (those drops would be the checkpoint's, not the
+	// link's), and Thaw times them: captured network state, bounded by
+	// the skew like an endpoint's replay log.
+	if !p.frozen && p.PLR > 0 && p.rng.Float64() < p.PLR {
 		p.PLRDrops++
 		return
 	}
-	if p.QueueLen() >= p.Slots {
+	if !p.frozen && p.QueueLen() >= p.Slots {
 		p.Dropped++
 		return
 	}

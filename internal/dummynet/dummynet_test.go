@@ -148,6 +148,32 @@ func TestAcceptWhileFrozenQueues(t *testing.T) {
 	}
 }
 
+// A frozen pipe keeps every skew-window arrival, even past its router
+// queue's slots: the freeze must not drop what the link would carry.
+// Once thawed, the slot limit applies again.
+func TestFrozenPipeKeepsSkewWindowPastSlots(t *testing.T) {
+	s := sim.New(1)
+	k := &sink{s: s}
+	p := NewPipe(s, "p", 100*simnet.Mbps, 0, k)
+	p.Freeze()
+	n := 3 * p.Slots
+	for i := 0; i < n; i++ {
+		p.Accept(&simnet.Packet{Size: 1250})
+	}
+	if p.Dropped != 0 || p.QueueLen() != n {
+		t.Fatalf("frozen pipe dropped %d, queued %d of %d", p.Dropped, p.QueueLen(), n)
+	}
+	p.Thaw()
+	p.Accept(&simnet.Packet{Size: 1250})
+	if p.Dropped != 1 {
+		t.Fatalf("thawed pipe over its slots dropped %d, want 1", p.Dropped)
+	}
+	s.Run()
+	if len(k.pkts) != n {
+		t.Fatalf("emitted %d of %d", len(k.pkts), n)
+	}
+}
+
 func TestSerializeRequiresFrozen(t *testing.T) {
 	s := sim.New(1)
 	p := NewPipe(s, "p", 0, 0, nil)

@@ -32,6 +32,7 @@ type twoStagePipe struct {
 	frozen   bool
 	frozeAt  sim.Time
 	headLeft sim.Time
+	rng      sim.Stream
 
 	Enqueued, Emitted, Dropped, PLRDrops uint64
 }
@@ -43,7 +44,8 @@ type oracleFlight struct {
 }
 
 func newTwoStagePipe(s *sim.Simulator, name string, bw simnet.Bitrate, delay sim.Time, out simnet.Port) *twoStagePipe {
-	p := &twoStagePipe{name: name, sim: s, out: out, Bandwidth: bw, Delay: delay, Slots: DefaultQueueSlots}
+	p := &twoStagePipe{name: name, sim: s, out: out, Bandwidth: bw, Delay: delay, Slots: DefaultQueueSlots,
+		rng: s.Stream("pipe", name)}
 	s.InitTimer(&p.headTx, name+".tx", p.finishHead)
 	return p
 }
@@ -53,15 +55,11 @@ func (p *twoStagePipe) InFlight() int { return len(p.line) }
 
 func (p *twoStagePipe) Accept(pkt *simnet.Packet) {
 	if p.frozen {
-		if len(p.queue) >= p.Slots {
-			p.Dropped++
-			return
-		}
 		p.Enqueued++
 		p.queue = append(p.queue, pkt)
 		return
 	}
-	if p.PLR > 0 && p.sim.Rand().Float64() < p.PLR {
+	if p.PLR > 0 && p.rng.Float64() < p.PLR {
 		p.PLRDrops++
 		return
 	}

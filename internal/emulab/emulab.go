@@ -15,6 +15,7 @@ package emulab
 
 import (
 	"fmt"
+	"slices"
 
 	"emucheck/internal/core"
 	"emucheck/internal/dummynet"
@@ -81,27 +82,22 @@ func (sp Spec) NodesNeeded() int {
 	return len(sp.Nodes) + shaped
 }
 
-// checkRefs rejects a link or LAN that names a node the spec does not
-// define. SwapIn runs it before it charges the pool or starts NTP, so a
-// rejected spec leaves the testbed as it found it.
-func (sp Spec) checkRefs() error {
+// CheckRefs reports the first link or LAN that names a node the spec
+// does not define. SwapIn runs it before it charges the pool or starts
+// NTP, so a rejected spec leaves the testbed as it found it.
+func (sp Spec) CheckRefs() error {
 	known := func(name string) bool {
-		for _, n := range sp.Nodes {
-			if n.Name == name {
-				return true
-			}
-		}
-		return false
+		return slices.ContainsFunc(sp.Nodes, func(n NodeSpec) bool { return n.Name == name })
 	}
 	for _, l := range sp.Links {
 		if !known(l.A) || !known(l.B) {
-			return fmt.Errorf("emulab: link %s-%s references unknown node", l.A, l.B)
+			return fmt.Errorf("link %s-%s references unknown node", l.A, l.B)
 		}
 	}
 	for _, lan := range sp.LANs {
 		for _, name := range lan.Members {
 			if !known(name) {
-				return fmt.Errorf("emulab: LAN %s references unknown node %s", lan.Name, name)
+				return fmt.Errorf("LAN %s references unknown node %s", lan.Name, name)
 			}
 		}
 	}
@@ -199,8 +195,8 @@ func (tb *Testbed) SwapIn(spec Spec) (*Experiment, error) {
 	if _, dup := tb.experiments[spec.Name]; dup {
 		return nil, fmt.Errorf("emulab: experiment %q already swapped in", spec.Name)
 	}
-	if err := spec.checkRefs(); err != nil {
-		return nil, err
+	if err := spec.CheckRefs(); err != nil {
+		return nil, fmt.Errorf("emulab: %w", err)
 	}
 	needed := spec.NodesNeeded()
 	if needed > tb.FreeNodes {

@@ -2,7 +2,7 @@
 // a declarative schedule of node crashes, control-LAN message loss and
 // delay, and slow-disk / slow-save perturbations, armed against a
 // running cluster. Everything an injection does flows through the
-// simulator and the plan's own seeded random source, so a faulty run
+// simulator and each injection's own keyed sim.Stream, so a faulty run
 // is exactly as deterministic as a clean one — two runs of the same
 // plan under the same seed are byte-identical, which is what makes
 // failure scenarios assertable and regressions bisectable (syslog
@@ -18,7 +18,6 @@ package fault
 
 import (
 	"fmt"
-	"math/rand"
 
 	"emucheck/internal/notify"
 	"emucheck/internal/sim"
@@ -80,7 +79,7 @@ type Injection struct {
 	Seed int64
 
 	remaining int        // drop budget left
-	rng       *rand.Rand // per-injection jitter source
+	rng       sim.Stream // per-injection jitter source
 }
 
 func (inj *Injection) defaults() {
@@ -148,7 +147,7 @@ func (p *Plan) Arm(s *sim.Simulator, bus *notify.Bus, h Hooks) {
 		if seed == 0 {
 			seed = base + int64(i) + 1
 		}
-		inj.rng = rand.New(rand.NewSource(seed))
+		inj.rng = sim.NewStream(seed, "fault")
 		switch inj.Kind {
 		case Crash:
 			fire := func() {
@@ -225,7 +224,7 @@ func (p *Plan) deliver(m *notify.Msg, owner string) (bool, sim.Time) {
 		}
 		e := inj.Extra
 		if e <= 0 {
-			e = sim.Time(inj.rng.Int63n(int64(20 * sim.Millisecond)))
+			e = inj.rng.Jitter(20 * sim.Millisecond)
 		}
 		extra += e
 		p.Delayed++

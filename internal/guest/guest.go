@@ -200,6 +200,9 @@ type Kernel struct {
 	inflightIO int
 	ioWaiters  []func()
 
+	// rng draws Usleep wake-up jitter and checkpoint firewall leaks.
+	rng sim.Stream
+
 	suspended        bool
 	resuming         bool
 	crashed          bool
@@ -245,6 +248,7 @@ func New(m *node.Machine, p node.Params, cfg Config) *Kernel {
 		},
 		Backend:  &RawDiskBackend{Disk: m.Disk},
 		handlers: make(map[string]func(simnet.Addr, *Message)),
+		rng:      m.Sim.Stream("guest", m.Name),
 	}
 	k.labels.usleep = m.Name + ".usleep"
 	k.labels.nettx = m.Name + ".nettx"
@@ -296,7 +300,7 @@ func (k *Kernel) Usleep(d sim.Time, fn func()) {
 	now := k.Clock.SystemTime()
 	jiffy := k.Jiffy()
 	wake := ((now+d)/jiffy + 1) * jiffy
-	delay := wake - now + k.M.Sim.Normal(k.P.WakeupJitterMean, k.P.WakeupJitterStddev)
+	delay := wake - now + k.rng.Normal(k.P.WakeupJitterMean, k.P.WakeupJitterStddev)
 	k.FW.DoAfter(firewall.TimerJob, delay, k.labels.usleep, fn)
 }
 
@@ -457,7 +461,7 @@ func (k *Kernel) drainIO(fn func()) {
 // leakSplit draws the total firewall leak for one checkpoint and splits
 // it between the engage and disengage paths.
 func (k *Kernel) leakSplit() (engage, disengage sim.Time) {
-	total := k.M.Sim.Uniform(k.P.FirewallLeakLo, k.P.FirewallLeakHi)
+	total := k.rng.Uniform(k.P.FirewallLeakLo, k.P.FirewallLeakHi)
 	return total * 6 / 10, total * 4 / 10
 }
 

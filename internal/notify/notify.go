@@ -114,6 +114,7 @@ type subKey struct {
 type bucket struct {
 	subs    []*subscriber
 	removed int
+	rng     sim.Stream // delivery delays
 }
 
 // compact drops cancelled subscribers, preserving registration order.
@@ -212,7 +213,7 @@ func (b *Bus) SubscribeScoped(topic, scope, owner string, h func(*Msg)) func() {
 	key := subKey{topic: topic, scope: scope}
 	bk := b.subs[key]
 	if bk == nil {
-		bk = &bucket{}
+		bk = &bucket{rng: b.s.Stream("notify", topic, scope)}
 		b.subs[key] = bk
 	}
 	sub := &subscriber{h: h, owner: owner}
@@ -258,7 +259,7 @@ func (b *Bus) deliver(m *Msg, bk *bucket, ts *topicEntry, label string) {
 		live = append(live, sub)
 		h := sub.h
 		b.Attempts++
-		d := b.BaseLatency + b.s.Jitter(b.JitterMax)
+		d := b.BaseLatency + bk.rng.Jitter(b.JitterMax)
 		if b.Inject != nil {
 			drop, extra := b.Inject(m, sub.owner)
 			if drop {

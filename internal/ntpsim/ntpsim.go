@@ -13,7 +13,6 @@ package ntpsim
 
 import (
 	"math"
-	"math/rand"
 
 	"emucheck/internal/sim"
 )
@@ -56,45 +55,32 @@ type Sync struct {
 	m     Model
 	nodes map[string]*nodeState
 	seed  int64
-	// rng reads src, which reseed resets for each node start and each
-	// floor epoch; see reseed.
-	src source
-	rng *rand.Rand
 }
 
-// New creates a Sync using the simulation's determinism (a per-node
-// seeded stream derived from seed keeps lazily-sampled errors stable).
+// New creates a Sync whose per-node errors are pure functions of seed
+// and the node's name, so lazily-sampled errors are stable.
 func New(s *sim.Simulator, m Model, seed int64) *Sync {
-	y := &Sync{s: s, m: m, nodes: make(map[string]*nodeState), seed: seed}
-	y.rng = rand.New(&y.src)
-	return y
+	return &Sync{s: s, m: m, nodes: make(map[string]*nodeState), seed: seed}
 }
 
 // Start begins disciplining a node's clock at the current time.
 func (y *Sync) Start(name string) {
-	h := int64(0)
-	for _, c := range name {
-		h = h*131 + int64(c)
-	}
-	rng := y.reseed(y.seed ^ h)
-	sign := 1.0
-	if rng.Intn(2) == 0 {
-		sign = -1
-	}
-	amp := float64(y.m.InitialErrLo) + rng.Float64()*float64(y.m.InitialErrHi-y.m.InitialErrLo)
+	r := sim.NewStream(y.seed, name)
 	y.nodes[name] = &nodeState{
-		amp:     sign * amp,
+		amp:     signedIn(r.Uint64(), y.m.InitialErrLo, y.m.InitialErrHi),
 		started: y.s.Now(),
-		salt:    rng.Int63(),
+		salt:    int64(r.Uint64()),
 	}
 }
 
-// reseed returns the Sync's one generator reset to seed: it yields the
-// same stream a fresh rand.NewSource(seed) gives, and resetting it costs
-// a few arithmetic steps rather than math/rand's 607-word reseed.
-func (y *Sync) reseed(seed int64) *rand.Rand {
-	y.src.Seed(seed)
-	return y.rng
+// signedIn maps one random word to a value of magnitude in [lo, hi) and
+// random sign: the low bit picks the sign, the top 53 bits the magnitude.
+func signedIn(u uint64, lo, hi sim.Time) float64 {
+	v := float64(lo) + float64(u>>11)*0x1p-53*float64(hi-lo)
+	if u&1 == 0 {
+		return -v
+	}
+	return v
 }
 
 // Started reports whether the node is being disciplined.
@@ -104,16 +90,9 @@ func (y *Sync) Started(name string) bool {
 }
 
 func (y *Sync) floor(n *nodeState, t sim.Time) float64 {
-	m := y.m
-	epoch := int64(t / m.FloorEpoch)
 	// The epoch's steady error is a pure function of the node's fixed
 	// salt and the epoch, so access order does not matter.
-	r := y.reseed(n.salt ^ epoch*2654435761)
-	sign := 1.0
-	if r.Intn(2) == 0 {
-		sign = -1
-	}
-	return sign * (float64(m.FloorLo) + r.Float64()*float64(m.FloorHi-m.FloorLo))
+	return signedIn(sim.Mix64(n.salt, int64(t/y.m.FloorEpoch)), y.m.FloorLo, y.m.FloorHi)
 }
 
 // ErrorAt reports the signed offset of the node's disciplined clock from

@@ -2,7 +2,7 @@ package ntpsim
 
 import (
 	"fmt"
-	"math/rand"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -144,47 +144,30 @@ func TestPropertyBounded(t *testing.T) {
 	}
 }
 
-// TestReseededDrawsMatchFreshSources: Start and the floor draws reuse
-// one reseeded generator; every value must equal what a fresh source
-// with the same seed yields, whatever order nodes and epochs are
-// touched in.
-func TestReseededDrawsMatchFreshSources(t *testing.T) {
+// TestDrawsArePureInSeedAndName: a node's start draws depend only on
+// (seed, name) and its floor only on (salt, epoch), whatever order nodes
+// are started and epochs are touched in.
+func TestDrawsArePureInSeedAndName(t *testing.T) {
 	m := DefaultModel()
-	fresh := func(seed int64) (sign, frac float64, r *rand.Rand) {
-		r = rand.New(rand.NewSource(seed))
-		sign = 1.0
-		if r.Intn(2) == 0 {
-			sign = -1
-		}
-		return sign, r.Float64(), r
-	}
-	for _, seed := range []int64{0, 1, 3, 0x7ab5, -42} {
-		y := New(sim.New(1), m, seed)
-		names := []string{"node0", "node1", "delay-a", "n"}
-		for _, name := range names {
-			y.Start(name)
+	names := []string{"node0", "node1", "delay-a", "n"}
+	for _, seed := range []int64{0, 1, 0x7ab5, -42} {
+		fwd, rev := New(sim.New(1), m, seed), New(sim.New(2), m, seed)
+		for i := range names {
+			fwd.Start(names[i])
+			rev.Start(names[len(names)-1-i])
 		}
 		for _, name := range names {
-			h := int64(0)
-			for _, c := range name {
-				h = h*131 + int64(c)
+			a, b := fwd.nodes[name], rev.nodes[name]
+			if a.amp != b.amp || a.salt != b.salt {
+				t.Fatalf("seed %d %s: start draws depend on start order", seed, name)
 			}
-			sign, frac, r := fresh(seed ^ h)
-			n := y.nodes[name]
-			amp := sign * (float64(m.InitialErrLo) + frac*float64(m.InitialErrHi-m.InitialErrLo))
-			if salt := r.Int63(); n.amp != amp || n.salt != salt {
-				t.Fatalf("seed %d %s: amp/salt %v/%d, fresh source gives %v/%d", seed, name, n.amp, n.salt, amp, salt)
+			if v := math.Abs(a.amp); v < float64(m.InitialErrLo) || v >= float64(m.InitialErrHi) {
+				t.Fatalf("seed %d %s: amplitude %v outside ±[%v, %v)", seed, name, a.amp, m.InitialErrLo, m.InitialErrHi)
 			}
-		}
-		// Interleave nodes and epochs so every floor draw reseeds a
-		// generator another node just used.
-		for _, epoch := range []int64{5, 0, 9, 1} {
-			for _, name := range names {
-				n := y.nodes[name]
-				got := y.floor(n, sim.Time(epoch)*m.FloorEpoch)
-				sign, frac, _ := fresh(n.salt ^ epoch*2654435761)
-				if want := sign * (float64(m.FloorLo) + frac*float64(m.FloorHi-m.FloorLo)); got != want {
-					t.Fatalf("seed %d %s epoch %d: floor %v, fresh source gives %v", seed, name, epoch, got, want)
+			for _, epoch := range []sim.Time{5, 0, 9, 1} {
+				at := epoch * m.FloorEpoch
+				if fwd.floor(a, at) != rev.floor(b, at) {
+					t.Fatalf("seed %d %s epoch %d: floor depends on access order", seed, name, epoch)
 				}
 			}
 		}

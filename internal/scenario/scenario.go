@@ -493,26 +493,15 @@ func Validate(f *File) []error {
 				bad("experiment %q: epochs needs every node swappable (commits ride the checkpoint chains)", e.Name)
 			}
 		}
-		local := make(map[string]bool)
 		for _, n := range e.Nodes {
 			if owner, taken := nodeOwner[n.Name]; taken {
 				bad("node %q of %q collides with %q (node names are control-network identities)", n.Name, e.Name, owner)
 				continue
 			}
 			nodeOwner[n.Name] = e.Name
-			local[n.Name] = true
 		}
-		for _, l := range e.Links {
-			if !local[l.A] || !local[l.B] {
-				bad("experiment %q: link %s-%s references unknown node", e.Name, l.A, l.B)
-			}
-		}
-		for _, lan := range e.LANs {
-			for _, m := range lan.Members {
-				if !local[m] {
-					bad("experiment %q: LAN %s references unknown node %s", e.Name, lan.Name, m)
-				}
-			}
+		if err := e.Spec().CheckRefs(); err != nil {
+			bad("experiment %q: %v", e.Name, err)
 		}
 		if need := e.Spec().NodesNeeded(); need > f.Pool {
 			bad("experiment %q needs %d nodes, pool is %d — it can never be admitted", e.Name, need, f.Pool)

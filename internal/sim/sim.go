@@ -5,14 +5,15 @@
 // the checkpoint machinery — advances by scheduling events on a single
 // Simulator. Time is virtual, measured in integer nanoseconds, and the
 // event order is fully deterministic: ties on the timestamp are broken by
-// insertion sequence, and all randomness flows from one seeded source.
-// Running the same experiment twice therefore yields bit-identical
-// results, which is what makes the paper's transparency claims testable.
+// insertion sequence. Randomness comes from keyed streams: each component
+// owns a Stream whose n-th draw is a pure function of (seed, key, n), so
+// no component's draws depend on another's. Running the same experiment
+// twice therefore yields bit-identical results, which is what makes the
+// paper's transparency claims testable.
 package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 )
 
@@ -80,7 +81,7 @@ type Simulator struct {
 	now     Time
 	queue   eventHeap
 	seq     uint64
-	rng     *rand.Rand
+	seed    int64 // keys every Stream
 	stopped bool
 	// fired counts delivered events, for diagnostics and test assertions.
 	fired uint64
@@ -91,16 +92,11 @@ type Simulator struct {
 	free []*Event
 }
 
-// New creates a Simulator whose random source is seeded with seed.
-func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed))}
-}
+// New creates a Simulator whose streams are keyed under seed.
+func New(seed int64) *Simulator { return &Simulator{seed: seed} }
 
 // Now reports the current simulated time.
 func (s *Simulator) Now() Time { return s.now }
-
-// Rand exposes the simulation's deterministic random source.
-func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
 // Fired reports the number of events delivered so far.
 func (s *Simulator) Fired() uint64 { return s.fired }
@@ -326,32 +322,6 @@ func (s *Simulator) RunUntil(t Time) {
 // RunFor advances the simulation by d.
 func (s *Simulator) RunFor(d Time) { s.RunUntil(s.now + d) }
 
-// Jitter returns a uniformly distributed duration in [0, max).
-func (s *Simulator) Jitter(max Time) Time {
-	if max <= 0 {
-		return 0
-	}
-	return Time(s.rng.Int63n(int64(max)))
-}
-
-// Normal returns a normally distributed duration with the given mean and
-// standard deviation, truncated at zero.
-func (s *Simulator) Normal(mean, stddev Time) Time {
-	v := float64(mean) + s.rng.NormFloat64()*float64(stddev)
-	if v < 0 {
-		return 0
-	}
-	return Time(v)
-}
-
-// Uniform returns a uniformly distributed duration in [lo, hi).
-func (s *Simulator) Uniform(lo, hi Time) Time {
-	if hi <= lo {
-		return lo
-	}
-	return lo + Time(s.rng.Int63n(int64(hi-lo)))
-}
-
 // Mix64 folds the given values through a SplitMix64 finalizer chain and
 // returns the mixed word. It is the deterministic seed-derivation
 // primitive for anything that must vary arithmetically with a seed and
@@ -361,10 +331,7 @@ func (s *Simulator) Uniform(lo, hi Time) Time {
 func Mix64(vs ...int64) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, v := range vs {
-		h ^= uint64(v)
-		h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-		h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-		h ^= h >> 31
+		h = fmix(h ^ uint64(v))
 	}
 	return h
 }

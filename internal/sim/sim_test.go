@@ -156,6 +156,7 @@ func TestAfterClampsNegative(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() []Time {
 		s := New(42)
+		r := s.Stream("determinism")
 		var out []Time
 		var rec func()
 		n := 0
@@ -163,7 +164,7 @@ func TestDeterminism(t *testing.T) {
 			out = append(out, s.Now())
 			n++
 			if n < 100 {
-				s.After(s.Jitter(Millisecond)+1, "r", rec)
+				s.After(r.Jitter(Millisecond)+1, "r", rec)
 			}
 		}
 		s.At(0, "start", rec)
@@ -177,41 +178,6 @@ func TestDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("divergence at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestJitterBounds(t *testing.T) {
-	s := New(7)
-	if s.Jitter(0) != 0 {
-		t.Fatal("Jitter(0) != 0")
-	}
-	for i := 0; i < 1000; i++ {
-		j := s.Jitter(100)
-		if j < 0 || j >= 100 {
-			t.Fatalf("jitter out of range: %v", j)
-		}
-	}
-}
-
-func TestNormalTruncation(t *testing.T) {
-	s := New(7)
-	for i := 0; i < 1000; i++ {
-		if v := s.Normal(0, 1000); v < 0 {
-			t.Fatalf("Normal returned negative %v", v)
-		}
-	}
-}
-
-func TestUniform(t *testing.T) {
-	s := New(7)
-	if got := s.Uniform(5, 5); got != 5 {
-		t.Fatalf("degenerate Uniform = %v", got)
-	}
-	for i := 0; i < 1000; i++ {
-		v := s.Uniform(10, 20)
-		if v < 10 || v >= 20 {
-			t.Fatalf("Uniform out of range: %v", v)
 		}
 	}
 }

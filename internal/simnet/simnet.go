@@ -139,9 +139,7 @@ type NIC struct {
 // The replay gap defaults to 1 µs, approximating back-to-back delivery
 // without creating simultaneous events.
 func NewNIC(s *sim.Simulator, addr Addr, speed Bitrate) *NIC {
-	n := &NIC{sim: s, addr: addr, speed: speed, replayGap: sim.Microsecond}
-	n.replayFn = func() { n.deliver(n.replay.pop()) }
-	return n
+	return &NIC{sim: s, addr: addr, speed: speed, replayGap: sim.Microsecond}
 }
 
 // Addr reports the NIC's address.
@@ -267,6 +265,9 @@ func (n *NIC) ReplayLogLen() int { return n.logged }
 // when a Thaw comes while an earlier Thaw's replays are still pending.
 func (n *NIC) Thaw() {
 	n.frozen = false
+	if n.logged > 0 && n.replayFn == nil {
+		n.replayFn = func() { n.deliver(n.replay.pop()) }
+	}
 	gap := sim.Time(0)
 	for ; n.logged > 0; n.logged-- {
 		n.sim.DoAfter(gap, "nic.replay", n.replayFn)

@@ -1,9 +1,8 @@
 package storage
 
 import (
+	"math/rand"
 	"testing"
-
-	"emucheck/internal/sim"
 )
 
 func TestReadSpansMultipleLevels(t *testing.T) {
@@ -116,7 +115,7 @@ func TestLocalityDegradesWithoutReorder(t *testing.T) {
 	seeks := func(reorder bool, cycles int) int64 {
 		s, v := newVol(2, Optimized)
 		v.Age()
-		rnd := sim.New(9).Rand()
+		rnd := rand.New(rand.NewSource(9))
 		for c := 0; c < cycles; c++ {
 			// Random scattered writes each "session".
 			for i := 0; i < 32; i++ {
